@@ -97,6 +97,7 @@ from .solver import (
     SnapshotProblem,
     SolverScalars,
     admit_feasibility_driven,
+    kkt_decompose,
     kkt_reconstruct,
     power_dual_bisection,
     predict_admission_and_scalars,

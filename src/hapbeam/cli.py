@@ -24,7 +24,7 @@ from .forecast import (
     save_forecast_csv,
 )
 from .harness import ScenarioConfig, generate_attitude_series, run_experiment, sweep
-from .io import emit_results, load_telemetry_csv, save_telemetry_csv, write_summary_json
+from .io import emit_results, load_telemetry_csv, save_telemetry_csv
 
 _LOCAL_FORECASTERS = ("persistence", "linear", "ar")
 
@@ -142,7 +142,6 @@ def cmd_sweep(args) -> int:
     for i, (overrides, result) in enumerate(cells):
         cell_dir = out / f"cell_{i:03d}"
         emit_results(result, cell_dir, args.format)
-        write_summary_json(cell_dir / "summary.json", result)
         agg = result.aggregates
         index.append(
             {

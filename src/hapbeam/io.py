@@ -135,7 +135,13 @@ def read_snapshots_csv(path) -> dict:
 
 def _result_payload(result, include_snapshots: bool) -> dict:
     payload = {
-        "aggregates": {k: float(v) for k, v in sorted(result.aggregates.items())},
+        # wall-clock solve times stay in RunResult.aggregates only, so that
+        # two runs of one scenario write identical bytes
+        "aggregates": {
+            k: float(v)
+            for k, v in sorted(result.aggregates.items())
+            if not k.endswith("_solve_time_s")
+        },
         "calibration": {
             "delta_omega_rad": float(result.calibration.delta_omega),
             "rho": float(result.calibration.rho),

@@ -7,9 +7,9 @@ error is certified.  The solve pipeline:
 1. a lightweight admission predictor ranks certified users by QoS
    difficulty and emits WMMSE-style scalars (u_k, w_k) from one MMSE pass
    at a matched-filter equal-power initialization;
-2. the digital beamformer is reconstructed in closed form from those
-   scalars, with the power constraint enforced through a bisected dual
-   variable and a final exact scaling projection;
+2. the digital beamformer is rebuilt in closed form from those scalars and
+   one eigendecomposition per admitted set, with the power constraint met by
+   a bisected dual variable and a final exact scaling projection;
 3. strict repair drops the worst-violating admitted user until every
    admitted rate clears its floor, then adds back any certified user that
    fits without breaking feasibility;
@@ -24,7 +24,6 @@ every admitted rate at or above its floor, with no exceptions.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .channel import sinr_and_rates
 from .errors import ConfigError, InvariantError
@@ -220,48 +219,47 @@ def predict_admission_and_scalars(
     return SolverScalars(scores=scores, u=u, w=w, pi=pi)
 
 
+def kkt_decompose(
+    problem: SnapshotProblem, admitted: np.ndarray, scalars: SolverScalars
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Eigendecompose C = sum over admitted of w |u|^2 h h^H once per
+    admitted set: (idx, U, lam, Z) with C + reg I = U diag(lam) U^H, the
+    eigenvalues of C clamped at 0, and Z = U^H rhs.  reg = REG_REL *
+    tr(C)/N_RF keeps rank-deficient C (fewer admitted users than chains at
+    nu = 0) solvable as the limit of the regularized path."""
+    idx = np.flatnonzero(admitted)
+    Hm = problem.h_eff[idx]  # rows h_k^H
+    C = (Hm.conj().T * (scalars.w[idx] * np.abs(scalars.u[idx]) ** 2)) @ Hm
+    trace = C.trace().real
+    if trace <= 0.0:  # scalars and right-hand sides all vanish: D = 0 at any shift
+        idx, Hm = idx[:0], Hm[:0]
+    rhs = Hm.conj().T * (scalars.w[idx] * scalars.u[idx].conj())
+    lam, U = np.linalg.eigh(C)
+    reg = REG_REL * max(trace, 0.0) / C.shape[0]
+    return idx, U, np.maximum(lam, 0.0) + reg, U.conj().T @ rhs
+
+
 def kkt_reconstruct(
     problem: SnapshotProblem,
     admitted: np.ndarray,
     scalars: SolverScalars,
     nu: float,
     ridge: float = 0.0,
+    eig: tuple | None = None,
 ) -> np.ndarray:
     """Closed-form beamformer from the weighted-MMSE stationarity system.
 
     d_k = C(nu)^{-1} (w_k u_k^* h_eff_k) for admitted k, with
-    C(nu) = sum over admitted of w |u|^2 h h^H + (nu + ridge) I.  One
-    Cholesky factorization serves all K right-hand sides.  A small ridge
-    relative to tr(C)/N_RF keeps rank-deficient C (fewer admitted users
-    than chains at nu = 0) solvable as the limit of the regularized path.
+    C(nu) = sum over admitted of w |u|^2 h h^H + (nu + ridge) I.  C is
+    eigendecomposed once per admitted set by `kkt_decompose`; pass that as
+    `eig` to reuse it across shifts, otherwise it is built here.  A shift
+    then only rescales the eigenvalues: D = U Z / (lam + nu + ridge).
     """
     if nu < 0:
         raise ValueError(f"dual variable must be >= 0, got {nu}")
-    N = problem.h_eff.shape[1]
-    K = problem.num_users
-    D = np.zeros((N, K), dtype=complex)
-    idx = np.flatnonzero(admitted)
-    if idx.size == 0:
-        return D
-    Hm = problem.h_eff[idx]  # rows h_k^H
-    cw = scalars.w[idx] * np.abs(scalars.u[idx]) ** 2
-    C = (Hm.conj().T * cw) @ Hm
-    trace = C.trace().real
-    if trace <= 0.0 and nu + ridge <= 0.0:
-        return D  # all scalars vanish: zero beamformer is the only solution
-    rhs = Hm.conj().T * (scalars.w[idx] * scalars.u[idx].conj())
-    reg = REG_REL * max(trace / N, 0.0)
-    for attempt in range(4):
-        try:
-            Cf = C + (nu + ridge + reg) * np.eye(N)
-            sol = cho_solve(cho_factor(Cf, lower=True, check_finite=False), rhs,
-                            check_finite=False)
-            break
-        except LinAlgError:
-            reg = max(reg * 1e3, 1e-12 * max(trace / N, 1.0))
-    else:
-        raise InvariantError("KKT system not positive definite after regularization")
-    D[:, idx] = sol
+    idx, U, lam, Z = kkt_decompose(problem, admitted, scalars) if eig is None else eig
+    D = np.zeros((problem.h_eff.shape[1], problem.num_users), dtype=complex)
+    D[:, idx] = U @ (Z / (lam + (nu + ridge))[:, None])
     return D
 
 
@@ -279,13 +277,14 @@ def power_dual_bisection(
     reconstruction already fits the budget, otherwise geometric growth of
     an upper bracket followed by bisection into [0.99, 1.0] * P_max.
 
-    Transmit power is non-increasing in nu; every evaluation is recorded
-    and the monotonicity is asserted per call.
+    One eigendecomposition of C serves every nu.  Power is non-increasing
+    in nu; every evaluation is recorded and monotonicity asserted per call.
     """
     evals: list[tuple[float, float]] = []
+    eig = kkt_decompose(problem, admitted, scalars)
 
     def evaluate(nu: float) -> tuple[np.ndarray, float]:
-        D = kkt_reconstruct(problem, admitted, scalars, nu, ridge)
+        D = kkt_reconstruct(problem, admitted, scalars, nu, ridge, eig)
         p = transmit_power(problem, D)
         evals.append((nu, p))
         return D, p

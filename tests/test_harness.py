@@ -403,10 +403,8 @@ class TestCli:
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert self.run_cli("run", "--config", str(scen), "--out", str(out1)) == 0
         assert self.run_cli("run", "--config", str(scen), "--out", str(out2)) == 0
-        b1 = (out1 / "snapshots.csv").read_bytes()
-        b2 = (out2 / "snapshots.csv").read_bytes()
-        assert b1 == b2
-        assert (out1 / "summary.json").exists()
+        for name in ("snapshots.csv", "summary.json"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         assert (out1 / "calibration.txt").exists()
         table = read_snapshots_csv(out1 / "snapshots.csv")
         assert len(table["snapshot"]) == 8
@@ -450,6 +448,19 @@ class TestCli:
         assert len(index) == 2
         assert (out / "cell_000" / "snapshots.csv").exists()
         assert all(c["mean_feasible"] == 1.0 for c in index)
+
+    def test_sweep_json_cells_embed_snapshots(self, tmp_path):
+        scen = tmp_path / "sweep.json"
+        scen.write_text(json.dumps({
+            "base": {**FAST, "snapshots": 4},
+            "axes": {"compensation": ["ideal"]},
+        }))
+        out = tmp_path / "sw"
+        assert self.run_cli(
+            "sweep", "--config", str(scen), "--out", str(out), "--format", "json"
+        ) == 0
+        payload = json.loads((out / "cell_000" / "summary.json").read_text())
+        assert len(payload["per_snapshot"]["QAR"]) == 4
 
     def test_sweep_unknown_key_exit_2(self, tmp_path):
         scen = tmp_path / "sweep.json"

@@ -6,10 +6,12 @@ import pytest
 from hapbeam.channel import sinr_and_rates
 from hapbeam.errors import ConfigError
 from hapbeam.solver import (
+    REG_REL,
     BeamSolution,
     SnapshotProblem,
     SolverScalars,
     admit_feasibility_driven,
+    kkt_decompose,
     kkt_reconstruct,
     power_dual_bisection,
     predict_admission_and_scalars,
@@ -165,6 +167,81 @@ class TestKKT:
         d = D[:, 0]
         cos = abs(np.vdot(d, h.conj())) / (np.linalg.norm(d) * np.linalg.norm(h))
         assert cos == pytest.approx(1.0, abs=1e-12)
+
+
+def _crandn(rng, *shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def _kkt_case(name):
+    """(problem, admitted mask) for the dense-reference KKT comparison."""
+    rng = np.random.default_rng(606)
+    N = 8
+    gram = None
+    if name == "rank-deficient":  # 3 admitted users on 8 chains: C has rank 3
+        H = _crandn(rng, 3, N)
+    elif name == "near-collinear":  # full rank, two users 1e-7 apart
+        H = _crandn(rng, N, N)
+        H[1] = H[0] + 1e-7 * _crandn(rng, N)
+    elif name == "analog-gram":  # non-identity A^H A, more users than chains
+        A = _crandn(rng, 24, N) / np.sqrt(24)
+        H = _crandn(rng, 10, N)
+        gram = A.conj().T @ A
+    prob = SnapshotProblem.build(H, r_min=1.0, p_max=2.0, noise_power=0.1,
+                                 analog_gram=gram)
+    return prob, np.ones(prob.num_users, bool)
+
+
+def _dense_kkt(prob, mask, sc, nu):
+    """Reference: solve (C + (nu + reg) I) d = rhs with a dense solver."""
+    idx = np.flatnonzero(mask)
+    Hm = prob.h_eff[idx]
+    C = (Hm.conj().T * (sc.w[idx] * np.abs(sc.u[idx]) ** 2)) @ Hm
+    N = C.shape[0]
+    Cs = C + (nu + REG_REL * C.trace().real / N) * np.eye(N)
+    D = np.zeros((N, prob.num_users), dtype=complex)
+    D[:, idx] = np.linalg.solve(Cs, Hm.conj().T * (sc.w[idx] * sc.u[idx].conj()))
+    return D, np.linalg.cond(Cs)
+
+
+KKT_SHIFTS = [0.0, *np.logspace(-3, 3, 13)]
+
+
+class TestKKTEigen:
+    @pytest.mark.parametrize("case", ["rank-deficient", "near-collinear", "analog-gram"])
+    def test_matches_dense_reference(self, case):
+        prob, mask = _kkt_case(case)
+        sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
+        N = prob.h_eff.shape[1]
+        for nu in KKT_SHIFTS:
+            D = kkt_reconstruct(prob, mask, sc, nu)
+            ref, cond = _dense_kkt(prob, mask, sc, nu)
+            # forward error of two backward-stable solves of one system
+            tol = 100 * N * np.finfo(float).eps * cond
+            err = np.linalg.norm(D - ref) / np.linalg.norm(ref)
+            assert err <= tol, (case, nu, err, tol)
+
+    def test_zero_scalars_give_zero_beamformer(self):
+        prob, mask = _kkt_case("analog-gram")
+        K = prob.num_users
+        sc = SolverScalars(np.ones(K), np.zeros(K, complex), np.ones(K),
+                           required_power_proxy(prob))
+        for nu in KKT_SHIFTS:
+            for ridge in (0.0, 0.5):
+                D = kkt_reconstruct(prob, mask, sc, nu, ridge)
+                assert D.shape == (prob.h_eff.shape[1], K)
+                assert not D.any()
+
+    @pytest.mark.parametrize("case", ["rank-deficient", "analog-gram"])
+    def test_precomputed_decomposition_same_bytes(self, case):
+        prob, mask = _kkt_case(case)
+        sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
+        eig = kkt_decompose(prob, mask, sc)
+        for nu in KKT_SHIFTS:
+            for ridge in (0.0, 0.5):
+                D_own = kkt_reconstruct(prob, mask, sc, nu, ridge)
+                D_eig = kkt_reconstruct(prob, mask, sc, nu, ridge, eig)
+                assert D_own.tobytes() == D_eig.tobytes()
 
 
 class TestBisection:
