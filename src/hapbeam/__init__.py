@@ -5,20 +5,14 @@ with admission control, and a Monte Carlo harness."""
 
 from .array_model import (
     AngleBox,
-    AnalogBeamformer,
     ArrayConfig,
-    PointingCertificate,
     analog_beamformer_at,
-    build_analog_sequence,
     certify_users,
     detune_q_matrix,
     detuning,
     exact_gain_loss,
     gain_loss_quadratic,
     jacobian,
-    moment_certificate,
-    select_applied_beamformer,
-    sigma_xi_sq,
     spectral_bound_l2,
     steering_vector,
     taper_constants,

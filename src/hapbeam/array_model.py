@@ -1,5 +1,5 @@
-"""Planar array model: steering, delay-aware analog schedules, pointing-loss
-certificates.
+"""Planar array model: steering, the analog stage, detuning and gain-loss
+models, and the per-user curvature certificate.
 
 The panel is an M_x-by-M_y uniform planar array on the platform body frame
 x-y plane.  All angles here are body-frame steering angles (theta, phi) as
@@ -13,10 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, OutOfModelError, UncoveredSlotError
+from .errors import ConfigError, OutOfModelError
 from .geometry import EulerZYX, WorldGeometry, euler_to_rotation, los_to_body_angles, rotation_exp
-
-_FD_STEP = 1e-5  # rad, central-difference step for the detuning Jacobian
 
 
 @dataclass(frozen=True)
@@ -84,57 +82,6 @@ def analog_beamformer_at(
     return A
 
 
-@dataclass(frozen=True)
-class AnalogBeamformer:
-    """One scheduled analog beamformer: matrix, the slot it applies to, and
-    the decision slot it was issued from."""
-
-    matrix: np.ndarray  # (M, N_RF) complex, constant modulus 1/sqrt(M)
-    slot: int
-    origin: int
-
-
-def build_analog_sequence(
-    cfg: ArrayConfig, geom: WorldGeometry, forecast, d: int
-) -> list[AnalogBeamformer]:
-    """Analog beamformers for every target slot of one forecast origin.
-
-    ``forecast`` must expose ``origin`` (decision slot t) and ``angles``
-    (H_pred rows of forecast yaw/pitch/roll, row h-1 for horizon h).  With
-    decision delay d, the target slots are t + h for h in {d+1, .., H_pred};
-    slots inside the delay window cannot be actuated and are skipped.
-    """
-    angles = np.asarray(forecast.angles, dtype=float)
-    h_pred = angles.shape[0]
-    if not 0 <= d < h_pred:
-        raise ConfigError(f"decision delay d={d} must satisfy 0 <= d < H_pred={h_pred}")
-    out = []
-    for h in range(d + 1, h_pred + 1):
-        att = EulerZYX.from_array(angles[h - 1])
-        out.append(
-            AnalogBeamformer(
-                matrix=analog_beamformer_at(cfg, geom, att),
-                slot=forecast.origin + h,
-                origin=forecast.origin,
-            )
-        )
-    return out
-
-
-def select_applied_beamformer(
-    schedules: list[AnalogBeamformer], slot: int
-) -> AnalogBeamformer:
-    """Latest-cover rule: among schedules covering ``slot``, the one issued
-    from the most recent origin wins."""
-    best = None
-    for s in schedules:
-        if s.slot == slot and (best is None or s.origin > best.origin):
-            best = s
-    if best is None:
-        raise UncoveredSlotError(f"no scheduled beamformer covers slot {slot}")
-    return best
-
-
 # ---------------------------------------------------------------------------
 # Detuning and gain-loss models
 # ---------------------------------------------------------------------------
@@ -173,41 +120,21 @@ def detuning(
     )
 
 
-def _fd_rotations() -> np.ndarray:
-    """Fixed small rotations exp(-+ step * e_i), stacked (6, 3, 3):
-    rows 0..2 are the +step perturbations of axes x, y, z, rows 3..5 the
-    -step ones.  The perturbed body direction is exp(-hat(dw)) @ u."""
-    mats = []
-    for sign in (+1.0, -1.0):
-        for ax in range(3):
-            v = np.zeros(3)
-            v[ax] = sign * _FD_STEP
-            mats.append(rotation_exp(-v))
-    return np.stack(mats)
-
-
-_FD_ROTS = _fd_rotations()
-
-
-def _jacobian_from_dirs(cfg: ArrayConfig, u: np.ndarray) -> np.ndarray:
-    """Detuning Jacobians d(xi)/d(delta_omega), central differences.
-
-    u: (..., 3) body-frame unit directions; returns (..., 2, 3).
-    """
-    u = np.asarray(u, dtype=float)
-    # (..., 6, 3): each perturbed direction exp(-hat(+-step e_i)) @ u
-    pert = np.einsum("pij,...j->...pi", _FD_ROTS, u)
-    diff = (pert[..., 0:3, 0:2] - pert[..., 3:6, 0:2]) / (2.0 * _FD_STEP)
+def _jacobian_from_dir(cfg: ArrayConfig, u) -> np.ndarray:
+    """Detuning Jacobian d(xi)/d(delta_omega) at body-frame unit direction
+    u: diag(d_x, d_y) / wavelength times rows x, y of the cross-product
+    matrix [u]_x, since the perturbed direction exp(-hat(dw)) @ u is
+    u + u x dw to first order."""
+    ux, uy, uz = np.asarray(u, dtype=float)
     scale = np.array([cfg.d_x, cfg.d_y]) / cfg.wavelength
-    # diff axes: (..., axis i, component {x,y}) -> J[..., comp, i]
-    return np.swapaxes(diff, -1, -2) * scale[..., :, None]
+    return np.array([[0.0, -uz, uy], [uz, 0.0, -ux]]) * scale[:, None]
 
 
 def jacobian(cfg: ArrayConfig, e_k, a_hat: EulerZYX) -> np.ndarray:
     """2x3 sensitivity of detuning to the attitude residual, at residual 0."""
     R = euler_to_rotation(a_hat)
     u = R.T @ np.asarray(e_k, dtype=float)
-    return _jacobian_from_dirs(cfg, u)
+    return _jacobian_from_dir(cfg, u)
 
 
 def _angles_to_dir(theta, phi) -> np.ndarray:
@@ -223,7 +150,7 @@ def _angles_to_dir(theta, phi) -> np.ndarray:
 def detune_q_matrix(cfg: ArrayConfig, theta: float, phi: float) -> np.ndarray:
     """Q = J^T diag(c_x, c_y) J at one steering operating point: the
     quadratic form taking an attitude residual to the quadratic gain loss."""
-    J = _jacobian_from_dirs(cfg, _angles_to_dir(theta, phi))
+    J = _jacobian_from_dir(cfg, _angles_to_dir(theta, phi))
     cx, cy = taper_constants(cfg)
     return J.T @ (np.array([cx, cy])[:, None] * J)
 
@@ -277,53 +204,31 @@ class AngleBox:
         return cls(theta - half_width, theta + half_width, phi - half_width, phi + half_width)
 
 
-def sym3_eigmax(Q: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of symmetric 3x3 matrices, batched (..., 3, 3).
-
-    Closed-form trigonometric solve of the characteristic polynomial; falls
-    back to a QR eigensolver on any entry where the closed form degrades.
-    """
-    Q = np.asarray(Q, dtype=float)
-    a, b, c = Q[..., 0, 0], Q[..., 1, 1], Q[..., 2, 2]
-    d, e, f = Q[..., 0, 1], Q[..., 0, 2], Q[..., 1, 2]
-    p1 = d**2 + e**2 + f**2
-    q = (a + b + c) / 3.0
-    p2 = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * p1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p = np.sqrt(p2 / 6.0)
-        B = (Q - q[..., None, None] * np.eye(3)) / p[..., None, None]
-        detB = (
-            B[..., 0, 0] * (B[..., 1, 1] * B[..., 2, 2] - B[..., 1, 2] * B[..., 2, 1])
-            - B[..., 0, 1] * (B[..., 1, 0] * B[..., 2, 2] - B[..., 1, 2] * B[..., 2, 0])
-            + B[..., 0, 2] * (B[..., 1, 0] * B[..., 2, 1] - B[..., 1, 1] * B[..., 2, 0])
-        )
-        r = np.clip(detB / 2.0, -1.0, 1.0)
-        lam = q + 2.0 * p * np.cos(np.arccos(r) / 3.0)
-    # Near-spherical matrices: p ~ 0 means Q ~ q I.
-    lam = np.where(p2 <= 1e-30 * np.maximum(q * q, 1e-300), q, lam)
-    bad = ~np.isfinite(lam)
-    if np.any(bad):
-        lam = np.array(lam, copy=True)
-        lam[bad] = np.linalg.eigvalsh(Q[bad])[..., -1]
-    return lam
-
-
 def spectral_bound_l2(cfg: ArrayConfig, box: AngleBox, grid: int = 33) -> float:
-    """Worst-case curvature L^2 = max over the steering box of lambda_max(Q).
+    """Worst-case curvature L^2 = max of lambda_max(Q) over a grid-by-grid
+    lattice of operating points spanning the steering box.
 
     Certifies, via the Rayleigh quotient, that the quadratic gain loss obeys
-    dw^T Q dw <= L^2 ||dw||^2 for every operating point in the box.
+    dw^T Q dw <= L^2 ||dw||^2 at every lattice point.  Q = J^T diag(c) J has
+    rank 2, so lambda_max(Q) is the larger eigenvalue of the 2x2 matrix
+    diag(sqrt(c)) J J^T diag(sqrt(c)) = [[a (1 - u_x^2), -sqrt(ab) u_x u_y],
+    [., b (1 - u_y^2)]] with a = c_x (d_x / wavelength)^2 and
+    b = c_y (d_y / wavelength)^2.
     """
     if grid < 2:
         raise ConfigError(f"grid must have at least 2 points per axis, got {grid}")
     thetas = np.linspace(box.theta_lo, box.theta_hi, grid)
     phis = np.linspace(box.phi_lo, box.phi_hi, grid)
     tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    U = _angles_to_dir(tt.ravel(), pp.ravel())
-    J = _jacobian_from_dirs(cfg, U)  # (G, 2, 3)
+    ux, uy, uz = _angles_to_dir(tt.ravel(), pp.ravel()).T
     cx, cy = taper_constants(cfg)
-    Q = np.einsum("gai,a,gaj->gij", J, np.array([cx, cy]), J)
-    return float(np.max(sym3_eigmax(Q)))
+    a = cx * (cfg.d_x / cfg.wavelength) ** 2
+    b = cy * (cfg.d_y / cfg.wavelength) ** 2
+    # 1 - u_x^2 written as u_y^2 + u_z^2 (u is unit) to avoid cancellation
+    p = a * (uy**2 + uz**2)
+    q = b * (ux**2 + uz**2)
+    r = np.sqrt(a * b) * ux * uy
+    return float(np.max(0.5 * (p + q) + np.hypot(0.5 * (p - q), r)))
 
 
 def certify_users(l2, delta_omega: float, epsilon: float) -> np.ndarray:
@@ -332,42 +237,3 @@ def certify_users(l2, delta_omega: float, epsilon: float) -> np.ndarray:
     if delta_omega < 0 or epsilon <= 0:
         raise ConfigError("need delta_omega >= 0 and epsilon > 0")
     return l2 * delta_omega**2 <= epsilon
-
-
-def moment_certificate(
-    Q: np.ndarray, mu_omega, sigma_omega, epsilon: float
-) -> tuple[bool, float]:
-    """Expected-loss certificate mu^T Q mu + tr(Q Sigma) <= epsilon.
-
-    Returns (decision, expected-loss value).  Sigma must be symmetric PSD.
-    """
-    Q = np.asarray(Q, dtype=float)
-    mu = np.asarray(mu_omega, dtype=float).reshape(3)
-    S = np.asarray(sigma_omega, dtype=float)
-    if S.shape != (3, 3):
-        raise ValueError(f"covariance must be 3x3, got {S.shape}")
-    if np.max(np.abs(S - S.T)) > 1e-9 * max(1.0, float(np.max(np.abs(S)))):
-        raise ValueError("covariance must be symmetric")
-    w = np.linalg.eigvalsh(S)
-    if w[0] < -1e-12 * max(1.0, w[-1]):
-        raise ValueError(f"covariance must be PSD; min eigenvalue {w[0]:.3g}")
-    value = float(mu @ Q @ mu + np.trace(Q @ S))
-    return value <= epsilon, value
-
-
-def sigma_xi_sq(J: np.ndarray, sigma_omega: np.ndarray) -> float:
-    """Variance proxy of the detuning: tr(J Sigma J^T)."""
-    return float(np.trace(J @ np.asarray(sigma_omega, dtype=float) @ J.T))
-
-
-@dataclass(frozen=True)
-class PointingCertificate:
-    """Calibrated pointing-robustness certificate for one scenario."""
-
-    l2: np.ndarray  # (K,) worst-case curvature per user
-    delta_omega: float  # calibrated residual-norm radius, rad
-    epsilon: float  # gain-loss tolerance
-    rho: float  # miscoverage level used for delta_omega
-    rho_s: float  # steering-set miscoverage (pass-through, 0 = fixed boxes)
-    certified: np.ndarray  # (K,) bool
-    boxes: tuple  # per-user AngleBox

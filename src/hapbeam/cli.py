@@ -8,36 +8,22 @@ invariant violation.
 import argparse
 import json
 import sys
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import calibrate
 from .errors import ConfigError, DataError, HapbeamError, exit_code_for
-from .forecast import (
-    ForecastRequest,
-    forecast_ar,
-    forecast_errors,
-    forecast_linear_trend,
-    forecast_persistence,
-    save_forecast_csv,
+from .forecast import ForecastRequest, forecast_errors, save_forecast_csv
+from .harness import (
+    LOCAL_FORECASTERS,
+    ScenarioConfig,
+    forecaster,
+    generate_attitude_series,
+    run_experiment,
+    sweep,
 )
-from .harness import ScenarioConfig, generate_attitude_series, run_experiment, sweep
 from .io import emit_results, load_telemetry_csv, save_telemetry_csv
-
-_LOCAL_FORECASTERS = ("persistence", "linear", "ar")
-
-
-def _forecaster(name: str, order: int):
-    if name == "persistence":
-        return forecast_persistence
-    if name == "linear":
-        return forecast_linear_trend
-    if name == "ar":
-        return partial(forecast_ar, order=order)
-    raise ConfigError(f"unknown forecaster {name!r}")
-
 
 def _load_config(path) -> dict:
     p = Path(path)
@@ -74,7 +60,7 @@ def cmd_gen_telemetry(args) -> int:
 
 def cmd_forecast_eval(args) -> int:
     series = load_telemetry_csv(args.telemetry)
-    fn = _forecaster(args.forecaster, args.order)
+    fn = forecaster(args.forecaster, args.order)
     outputs = _issue_all(series, fn, args.l_win, args.h_pred, args.delay, args.stride)
     report = forecast_errors(series, outputs, args.delay)
     payload = {
@@ -97,7 +83,7 @@ def cmd_forecast_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     series = load_telemetry_csv(args.telemetry)
-    fn = _forecaster(args.forecaster, args.order)
+    fn = forecaster(args.forecaster, args.order)
     outputs = _issue_all(series, fn, args.l_win, args.h_pred, args.delay, args.stride)
     report = calibrate(series, outputs, args.delay, args.rho)
     report.save(args.out)
@@ -191,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument("--telemetry", required=True)
-        p.add_argument("--forecaster", choices=_LOCAL_FORECASTERS, default="ar")
+        p.add_argument("--forecaster", choices=LOCAL_FORECASTERS, default="ar")
         p.add_argument("--order", type=int, default=common["order"])
         p.add_argument("--l-win", type=int, default=common["l_win"])
         p.add_argument("--h-pred", type=int, default=common["h_pred"])

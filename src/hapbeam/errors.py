@@ -42,7 +42,7 @@ class AmbiguousAxisError(DataError):
 
 
 class UncoveredSlotError(DataError):
-    """No issued beamformer schedule covers the requested slot."""
+    """No issued forecast or actuated truth sample covers the requested slot."""
 
 
 class OutOfModelError(DataError):

@@ -174,13 +174,6 @@ def forecast_ar(
     return ForecastOutput(req.origin, angles, f"ar{order}")
 
 
-FORECASTERS = {
-    "persistence": forecast_persistence,
-    "linear": forecast_linear_trend,
-    "ar": forecast_ar,
-}
-
-
 # ---------------------------------------------------------------------------
 # External forecast replay
 # ---------------------------------------------------------------------------

@@ -23,8 +23,6 @@ from .array_model import (
     ArrayConfig,
     analog_beamformer_at,
     certify_users,
-    jacobian,
-    sigma_xi_sq,
     spectral_bound_l2,
 )
 from .calibration import CalibrationReport, calibrate
@@ -57,7 +55,8 @@ CHANNEL_PRESETS = {
 }
 USER_LAYOUTS = ("uniform", "clustered", "edge-biased")
 COMPENSATION_MODES = ("none", "reactive", "forecast", "ideal")
-FORECASTER_KINDS = ("persistence", "linear", "ar", "external")
+LOCAL_FORECASTERS = ("persistence", "linear", "ar")
+FORECASTER_KINDS = LOCAL_FORECASTERS + ("external",)
 ADMISSION_PRIORITIES = ("qos-difficulty", "channel-gain", "random")
 OBJECTIVES = ("sum-rate", "ee")
 
@@ -217,6 +216,8 @@ class ForecastSpec:
             )
         if spec.kind == "external" and not spec.path:
             raise ConfigError("forecaster.path required for the external kind")
+        if spec.order < 1:
+            raise ConfigError(f"forecaster.order must be >= 1, got {spec.order}")
         return spec
 
 
@@ -256,6 +257,8 @@ class CalibrationSpec:
             raise ConfigError("calibration.rho must lie in (0, 1)")
         if spec.epsilon <= 0 or spec.box_halfwidth_deg <= 0:
             raise ConfigError("calibration epsilon and box half-width must be positive")
+        if spec.grid < 2:
+            raise ConfigError(f"calibration.grid must be >= 2, got {spec.grid}")
         return spec
 
 
@@ -301,14 +304,21 @@ class ScenarioConfig:
         snapshots = int(raw.get("snapshots", 200))
         if snapshots < 1:
             raise ConfigError("snapshots must be >= 1")
+        horizon = HorizonSpec.from_dict(_section(raw, "horizon"))
+        forecast_spec = ForecastSpec.from_dict(_section(raw, "forecaster"))
+        if forecast_spec.kind == "ar" and horizon.l_win < 4 * forecast_spec.order:
+            raise ConfigError(
+                f"horizon.l_win {horizon.l_win} too short for AR order "
+                f"{forecast_spec.order}; need l_win >= 4 * order"
+            )
         return cls(
             array=ArraySpec.from_dict(_section(raw, "array")),
             hap=PlatformSpec.from_dict(_section(raw, "hap")),
             users=UserSpec.from_dict(_section(raw, "users")),
             channel=ChannelSpec.from_dict(_section(raw, "channel")),
             qos=QosSpec.from_dict(_section(raw, "qos")),
-            horizon=HorizonSpec.from_dict(_section(raw, "horizon")),
-            forecaster=ForecastSpec.from_dict(_section(raw, "forecaster")),
+            horizon=horizon,
+            forecaster=forecast_spec,
             compensation=compensation,
             admission=AdmissionSpec.from_dict(_section(raw, "admission")),
             calibration=CalibrationSpec.from_dict(_section(raw, "calibration")),
@@ -435,14 +445,16 @@ def compensation_attitude(
     raise ConfigError(f"unknown compensation mode {mode!r}")
 
 
-def _forecaster_fn(spec: ForecastSpec):
-    if spec.kind == "persistence":
+def forecaster(kind: str, order: int):
+    """Local forecaster of one of the LOCAL_FORECASTERS kinds, as a
+    function of (series, request); `order` applies to the AR kind."""
+    if kind == "persistence":
         return forecast_persistence
-    if spec.kind == "linear":
+    if kind == "linear":
         return forecast_linear_trend
-    if spec.kind == "ar":
-        return partial(forecast_ar, order=spec.order)
-    raise ConfigError(f"forecaster kind {spec.kind!r} has no local model")
+    if kind == "ar":
+        return partial(forecast_ar, order=order)
+    raise ConfigError(f"forecaster kind {kind!r} has no local model")
 
 
 def required_series_length(config: ScenarioConfig) -> int:
@@ -524,7 +536,7 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
                 raise UncoveredSlotError(f"external replay misses origin {origin}")
             return out
     else:
-        fn = _forecaster_fn(config.forecaster)
+        fn = forecaster(config.forecaster.kind, config.forecaster.order)
         def issue(origin):
             return fn(series, ForecastRequest(origin, hz.l_win, hz.h_pred, hz.delay))
 
@@ -580,14 +592,10 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
             h_eff = effective_channel(H, A)
 
             l2 = np.empty(K)
-            s_xi = np.empty(K)
             for k in range(K):
                 theta, phi = los_to_body_angles(geom.los_unit[k], R_beam)
                 box = AngleBox.around(theta, phi, half)
                 l2[k] = spectral_bound_l2(cfg, box, config.calibration.grid)
-                s_xi[k] = sigma_xi_sq(
-                    jacobian(cfg, geom.los_unit[k], beam_att), report.sigma_omega
-                )
             certified = certify_users(
                 l2, report.delta_omega, config.calibration.epsilon
             )
@@ -600,7 +608,6 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
                 bandwidth=config.channel.bandwidth_hz,
                 circuit_power=config.qos.circuit_power_w,
                 certified=certified,
-                sigma_xi=s_xi,
                 analog_gram=A.conj().T @ A,
             )
             t0 = time.perf_counter()

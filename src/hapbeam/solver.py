@@ -54,7 +54,6 @@ class SnapshotProblem:
     bandwidth: float  # hertz
     circuit_power: float  # watts, enters energy efficiency only
     certified: np.ndarray  # (K,) bool
-    sigma_xi: np.ndarray  # (K,) detuning variance proxy, informational
     analog_gram: np.ndarray | None  # (N_RF, N_RF) Hermitian PSD or None
 
     @classmethod
@@ -67,7 +66,6 @@ class SnapshotProblem:
         bandwidth: float = 1.0,
         circuit_power: float = 1.0,
         certified=None,
-        sigma_xi=None,
         analog_gram=None,
     ) -> "SnapshotProblem":
         h_eff = np.asarray(h_eff, dtype=complex)
@@ -88,11 +86,6 @@ class SnapshotProblem:
         )
         if certified.shape != (K,):
             raise ConfigError(f"certified mask must be ({K},), got {certified.shape}")
-        sigma_xi = (
-            np.zeros(K)
-            if sigma_xi is None
-            else np.broadcast_to(np.asarray(sigma_xi, dtype=float), (K,)).copy()
-        )
         if analog_gram is not None:
             analog_gram = np.asarray(analog_gram, dtype=complex)
             n = h_eff.shape[1]
@@ -112,7 +105,6 @@ class SnapshotProblem:
             float(bandwidth),
             float(circuit_power),
             certified,
-            sigma_xi,
             analog_gram,
         )
 

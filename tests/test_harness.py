@@ -64,6 +64,9 @@ class TestScenarioConfig:
             {"horizon": {"delay": 12, "h_pred": 12}},
             {"calibration": {"rho": 1.5}},
             {"snapshots": 0},
+            {"forecaster": {"order": 0}},
+            {"horizon": {"l_win": 50}},
+            {"calibration": {"grid": 1}},
         ],
     )
     def test_invalid_values(self, raw):
