@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OutOfModelError
-from .geometry import EulerZYX, WorldGeometry, euler_to_rotation, los_to_body_angles, rotation_exp
+from .geometry import (
+    EulerZYX,
+    WorldGeometry,
+    ensure_rotation,
+    euler_to_rotation,
+    los_to_body_angles,
+    rotation_exp,
+)
 
 
 @dataclass(frozen=True)
@@ -61,25 +68,31 @@ def steering_vector(cfg: ArrayConfig, theta: float, phi: float) -> np.ndarray:
     return np.exp(1j * phase).ravel() / np.sqrt(cfg.num_elements)
 
 
+def _steering_matrix(cfg: ArrayConfig, geom: WorldGeometry, att) -> np.ndarray:
+    """Per-user steering vectors, shape (M, K), at an EulerZYX or 3x3 attitude."""
+    R = euler_to_rotation(att) if isinstance(att, EulerZYX) else ensure_rotation(att)
+    A = np.empty((cfg.num_elements, geom.num_users), dtype=complex)
+    for k in range(geom.num_users):
+        theta, phi = los_to_body_angles(geom.los_unit[k], R)
+        A[:, k] = steering_vector(cfg, theta, phi)
+    return A
+
+
 def analog_beamformer_at(
-    cfg: ArrayConfig, geom: WorldGeometry, attitude: EulerZYX
+    cfg: ArrayConfig, geom: WorldGeometry, attitude: EulerZYX | np.ndarray
 ) -> np.ndarray:
     """Stack per-user steering vectors at one attitude into A, shape (M, N_RF).
 
-    Column k points at user k's line of sight as seen from the body frame
-    under ``attitude``.  One RF chain per user is required.
+    Column k points at user k's line of sight from the body frame under
+    ``attitude``, an EulerZYX or a 3x3 body-to-world rotation matrix
+    (ValueError unless orthonormal with det +1).  One RF chain per user.
     """
     if geom.num_users != cfg.n_rf:
         raise ConfigError(
             f"analog stage assigns one chain per user: K={geom.num_users} "
             f"but N_RF={cfg.n_rf}"
         )
-    R = euler_to_rotation(attitude)
-    A = np.empty((cfg.num_elements, geom.num_users), dtype=complex)
-    for k in range(geom.num_users):
-        theta, phi = los_to_body_angles(geom.los_unit[k], R)
-        A[:, k] = steering_vector(cfg, theta, phi)
-    return A
+    return _steering_matrix(cfg, geom, attitude)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import ArrayConfig, steering_vector
-from .geometry import EulerZYX, WorldGeometry, euler_to_rotation, los_to_body_angles
+from .array_model import ArrayConfig, _steering_matrix
+from .geometry import EulerZYX, WorldGeometry
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ def fspl_gain(wavelength: float, distance) -> np.ndarray:
 def synthesize_channel(
     cfg: ArrayConfig,
     geom: WorldGeometry,
-    attitude_true: EulerZYX,
+    attitude_true: EulerZYX | np.ndarray,
     params: ChannelParams,
     rng: np.random.Generator,
 ) -> np.ndarray:
@@ -57,13 +57,14 @@ def synthesize_channel(
 
     h_k = sqrt(kappa/(kappa+1)) h_los + sqrt(1/(kappa+1)) h_nlos with
     h_los = sqrt(beta_k) sqrt(M) a_k(true angles) exp(-j 2 pi d_k / wavelength)
-    and h_nlos ~ CN(0, beta_k I).  The diffuse draw order is fixed (one
-    (M, K) block, real then imaginary), so a given generator state yields a
-    bit-reproducible matrix.
+    and h_nlos ~ CN(0, beta_k I).  ``attitude_true`` is an EulerZYX or a
+    3x3 body-to-world rotation matrix, as in `analog_beamformer_at`.  The
+    diffuse draw order is fixed (one (M, K) block, real then imaginary), so
+    a given generator state yields a bit-reproducible matrix.
     """
     K = geom.num_users
     M = cfg.num_elements
-    R = euler_to_rotation(attitude_true)
+    A = _steering_matrix(cfg, geom, attitude_true)
     pure = np.isinf(params.kappa)
     kappa = np.where(pure, 1.0, params.kappa)
     w_los = np.where(pure, 1.0, np.sqrt(kappa / (kappa + 1.0)))
@@ -71,10 +72,8 @@ def synthesize_channel(
     noise = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
     H = np.empty((M, K), dtype=complex)
     for k in range(K):
-        theta, phi = los_to_body_angles(geom.los_unit[k], R)
-        a = steering_vector(cfg, theta, phi)
         phase = np.exp(-1j * 2.0 * np.pi * geom.distance[k] / cfg.wavelength)
-        h_los = np.sqrt(params.beta[k] * M) * a * phase
+        h_los = np.sqrt(params.beta[k] * M) * A[:, k] * phase
         h_nlos = np.sqrt(params.beta[k] / 2.0) * noise[:, k]
         H[:, k] = w_los[k] * h_los + w_nlos[k] * h_nlos
     return H

@@ -35,16 +35,27 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
 
 
-def _issue_all(series, fn, l_win, h_pred, delay, stride):
-    first = l_win - 1
-    last = len(series.samples) - 1 - h_pred
+def _issue_all(args):
+    """Load the telemetry and issue a local forecast at every stride-th
+    origin.  The window arguments are checked as the scenario config checks
+    them, so a bad value exits 2 before any forecasting."""
+    ScenarioConfig.from_dict({
+        "horizon": {"l_win": args.l_win, "h_pred": args.h_pred, "delay": args.delay},
+        "forecaster": {"kind": args.forecaster, "order": args.order},
+    })
+    if args.stride < 1:
+        raise ConfigError(f"--stride must be >= 1, got {args.stride}")
+    series = load_telemetry_csv(args.telemetry)
+    fn = forecaster(args.forecaster, args.order)
+    first = args.l_win - 1
+    last = len(series.samples) - 1 - args.h_pred
     if last < first:
         raise DataError(
-            f"telemetry too short: need at least {l_win + h_pred + 1} samples"
+            f"telemetry too short: need at least {args.l_win + args.h_pred + 1} samples"
         )
-    return [
-        fn(series, ForecastRequest(t, l_win, h_pred, delay))
-        for t in range(first, last + 1, stride)
+    return series, [
+        fn(series, ForecastRequest(t, args.l_win, args.h_pred, args.delay))
+        for t in range(first, last + 1, args.stride)
     ]
 
 
@@ -59,9 +70,7 @@ def cmd_gen_telemetry(args) -> int:
 
 
 def cmd_forecast_eval(args) -> int:
-    series = load_telemetry_csv(args.telemetry)
-    fn = forecaster(args.forecaster, args.order)
-    outputs = _issue_all(series, fn, args.l_win, args.h_pred, args.delay, args.stride)
+    series, outputs = _issue_all(args)
     report = forecast_errors(series, outputs, args.delay)
     payload = {
         "forecaster": args.forecaster,
@@ -82,9 +91,7 @@ def cmd_forecast_eval(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    series = load_telemetry_csv(args.telemetry)
-    fn = forecaster(args.forecaster, args.order)
-    outputs = _issue_all(series, fn, args.l_win, args.h_pred, args.delay, args.stride)
+    series, outputs = _issue_all(args)
     report = calibrate(series, outputs, args.delay, args.rho)
     report.save(args.out)
     cover = float(np.mean(report.scores <= report.delta_omega))

@@ -84,10 +84,11 @@ def rotation_to_euler(R: np.ndarray) -> EulerZYX:
         raise DegenerateAttitudeError(
             f"pitch within gimbal-lock guard: |sin(pitch)| = {abs(s):.12g}"
         )
-    pitch = np.arcsin(s)
-    yaw = np.arctan2(R[1, 0], R[0, 0])
-    roll = np.arctan2(R[2, 1], R[2, 2])
-    return EulerZYX(float(wrap_pi(yaw)), float(pitch), float(wrap_pi(roll)))
+    yaw = float(np.arctan2(R[1, 0], R[0, 0]))
+    roll = float(np.arctan2(R[2, 1], R[2, 2]))
+    # atan2 lies in [-pi, pi], so the wrap to (-pi, pi] only moves -pi
+    yaw, roll = (np.pi if a == -np.pi else a for a in (yaw, roll))
+    return EulerZYX(yaw, float(np.arcsin(s)), roll)
 
 
 def rotation_exp(omega) -> np.ndarray:

@@ -44,7 +44,6 @@ from .geometry import (
     euler_to_rotation,
     los_to_body_angles,
     rotation_log_vee,
-    rotation_to_euler,
 )
 from .solver import SnapshotProblem, solve_snapshot
 
@@ -408,11 +407,6 @@ def place_users(layout: str, count: int, radius: float, seed: int) -> np.ndarray
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), np.zeros(count)])
 
 
-def _compose(mounting: np.ndarray, angles: np.ndarray) -> EulerZYX:
-    R = euler_to_rotation(EulerZYX(*angles)) @ mounting
-    return rotation_to_euler(R)
-
-
 def compensation_attitude(
     mode: str,
     series: AttitudeSeries,
@@ -480,16 +474,8 @@ class RunResult:
     eval_slots: np.ndarray
 
 
-_PCTL_COLUMNS = ("sum_rate", "power", "max_pointing_err_deg", "solve_time_s")
-_MEAN_COLUMNS = (
-    "QAR",
-    "sum_rate",
-    "ee",
-    "power",
-    "feasible",
-    "max_pointing_err_deg",
-    "solve_time_s",
-)
+_PCTL_COLUMNS = ("sum_rate", "power", "max_pointing_err_deg")
+_MEAN_COLUMNS = ("QAR", "sum_rate", "ee", "power", "feasible", "max_pointing_err_deg")
 
 
 def _aggregate(columns: dict) -> dict:
@@ -579,16 +565,14 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
             beam_att = compensation_attitude(
                 config.compensation, series, forecasts, int(slot), hz.delay
             )
-            beam_att = _compose(mounting, beam_att.as_array())
-            truth_att = _compose(mounting, series.samples[int(slot)])
-            R_beam = euler_to_rotation(beam_att)
-            R_truth = euler_to_rotation(truth_att)
-            A = analog_beamformer_at(cfg, geom, beam_att)
+            R_beam = euler_to_rotation(beam_att) @ mounting
+            R_truth = euler_to_rotation(EulerZYX(*series.samples[int(slot)])) @ mounting
+            A = analog_beamformer_at(cfg, geom, R_beam)
 
             rng = np.random.default_rng(
                 np.random.SeedSequence([config.seeds.channel, i])
             )
-            H = synthesize_channel(cfg, geom, truth_att, params, rng)
+            H = synthesize_channel(cfg, geom, R_truth, params, rng)
             h_eff = effective_channel(H, A)
 
             l2 = np.empty(K)

@@ -135,13 +135,7 @@ def read_snapshots_csv(path) -> dict:
 
 def _result_payload(result, include_snapshots: bool) -> dict:
     payload = {
-        # wall-clock solve times stay in RunResult.aggregates only, so that
-        # two runs of one scenario write identical bytes
-        "aggregates": {
-            k: float(v)
-            for k, v in sorted(result.aggregates.items())
-            if not k.endswith("_solve_time_s")
-        },
+        "aggregates": {k: float(v) for k, v in sorted(result.aggregates.items())},
         "calibration": {
             "delta_omega_rad": float(result.calibration.delta_omega),
             "rho": float(result.calibration.rho),

@@ -324,7 +324,6 @@ def strict_repair(
     problem: SnapshotProblem,
     admitted0: np.ndarray,
     scalars: SolverScalars,
-    ridge: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Violation-driven drops to feasibility, then ascending-difficulty
     add-backs that must preserve full feasibility.
@@ -340,7 +339,7 @@ def strict_repair(
     stats = {"drops": 0, "addbacks": 0, "bisection_evals": 0}
 
     def solve_for(mask):
-        nu, D, n_ev = power_dual_bisection(problem, mask, scalars, ridge)
+        nu, D, n_ev = power_dual_bisection(problem, mask, scalars)
         stats["bisection_evals"] += n_ev
         D = project_power(problem, D)
         _, rates = _rates(problem, D)
@@ -384,18 +383,11 @@ def strict_repair(
     return admitted, D, stats
 
 
-def admit_feasibility_driven(
-    problem: SnapshotProblem, reconstruct=None
-) -> tuple[np.ndarray, np.ndarray]:
+def admit_feasibility_driven(problem: SnapshotProblem) -> tuple[np.ndarray, np.ndarray]:
     """Offline reference admission: start from the full certified set and
     drop the hardest user (largest pi_k) until the reconstructed-and-
     projected beamformer satisfies every admitted rate floor."""
     scalars = predict_admission_and_scalars(problem, k_min=problem.num_users)
-    if reconstruct is None:
-        def reconstruct(mask):
-            _, D, _ = power_dual_bisection(problem, mask, scalars)
-            return project_power(problem, D)
-
     admitted = problem.certified.copy()
     pi = required_power_proxy(problem)
     for _ in range(problem.num_users + 1):
@@ -403,7 +395,8 @@ def admit_feasibility_driven(
             return admitted, np.zeros(
                 (problem.h_eff.shape[1], problem.num_users), dtype=complex
             )
-        D = reconstruct(admitted)
+        _, D, _ = power_dual_bisection(problem, admitted, scalars)
+        D = project_power(problem, D)
         _, rates = _rates(problem, D)
         if _feasible(problem, admitted, rates):
             return admitted, D

@@ -9,7 +9,7 @@ from hapbeam.channel import (
     sinr_and_rates,
     synthesize_channel,
 )
-from hapbeam.geometry import EulerZYX, WorldGeometry
+from hapbeam.geometry import EulerZYX, WorldGeometry, euler_to_rotation
 
 
 def small_scene(k=3, mx=8, my=8):
@@ -94,6 +94,36 @@ class TestSynthesis:
             ChannelParams.build(1.0, 0.0, 1.0, 1.0, 2)
         with pytest.raises(ValueError):
             ChannelParams.build(1.0, 1.0, -1e-9, 1.0, 2)
+
+
+class TestAttitudeForms:
+    def test_euler_and_rotation_give_same_bytes(self):
+        cfg, geom = small_scene()
+        att = EulerZYX(0.1, -0.04, 0.02)
+        R = euler_to_rotation(att)
+        params = ChannelParams.build(10.0, 2.5, 1.0, 1.0, geom.num_users)
+        H_e = synthesize_channel(cfg, geom, att, params, np.random.default_rng(5))
+        H_r = synthesize_channel(cfg, geom, R, params, np.random.default_rng(5))
+        assert H_e.tobytes() == H_r.tobytes()
+        A_e = analog_beamformer_at(cfg, geom, att)
+        A_r = analog_beamformer_at(cfg, geom, R)
+        assert A_e.tobytes() == A_r.tobytes()
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            1.01 * np.eye(3),
+            np.diag([1.0, 1.0, -1.0]),  # orthogonal but a reflection
+            np.eye(3)[:, :2],
+        ],
+    )
+    def test_non_rotation_matrix_rejected(self, bad):
+        cfg, geom = small_scene()
+        params = ChannelParams.build(10.0, 1.0, 1.0, 1.0, geom.num_users)
+        with pytest.raises(ValueError):
+            analog_beamformer_at(cfg, geom, bad)
+        with pytest.raises(ValueError):
+            synthesize_channel(cfg, geom, bad, params, np.random.default_rng(0))
 
 
 class TestRates:

@@ -66,6 +66,13 @@ class TestEulerRotation:
         # just inside the guard is fine
         rotation_to_euler(euler_to_rotation(EulerZYX(0.3, np.pi / 2 - 1e-3, 0.1)))
 
+    def test_wrap_seam_matches_wrap_pi(self):
+        # half turn about y with signed zeros: atan2(-0.0, -1.0) = -pi for
+        # both yaw and roll, which (-pi, pi] maps to +pi as wrap_pi does
+        R = np.array([[-1.0, 0.0, 0.0], [-0.0, 1.0, 0.0], [0.0, -0.0, -1.0]])
+        back = rotation_to_euler(R)
+        assert (back.yaw, back.roll) == (float(wrap_pi(-np.pi)),) * 2 == (np.pi,) * 2
+
     @given(
         st.floats(-np.pi + 1e-6, np.pi - 1e-6),
         st.floats(-np.pi / 2 + 1e-3, np.pi / 2 - 1e-3),

@@ -238,6 +238,16 @@ class TestRunExperiment:
         res = run_experiment(ScenarioConfig.from_dict(raw))
         assert np.all(res.snapshots["QAR"] == 1.0)
 
+    @pytest.mark.parametrize("mounting", [[0.0, 90.0, 0.0], [0.0, -90.0, 0.0]])
+    def test_gimbal_lock_mounting_uncompensated(self, mounting):
+        # the uncompensated beam attitude is exactly the mounting, at
+        # +-90 deg pitch; carried as a rotation matrix it needs no Euler angles
+        raw = {**FAST, "snapshots": 5, "compensation": "none",
+               "hap": {"mounting_deg": mounting}}
+        res = run_experiment(ScenarioConfig.from_dict(raw))
+        assert len(res.snapshots["snapshot"]) == 5
+        assert np.all(res.snapshots["feasible"] == 1.0)
+
     def test_ideal_beats_none(self):
         a = run_experiment(
             ScenarioConfig.from_dict({**FAST, "compensation": "ideal"})
@@ -433,6 +443,27 @@ class TestCli:
         scen = tmp_path / "bad.json"
         scen.write_text("{not json")
         assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize("command", ["forecast-eval", "calibrate"])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ["--order", "0"],
+            ["--l-win", "40"],
+            ["--stride", "0"],
+            ["--delay", "12", "--h-pred", "12"],
+            ["--h-pred", "0"],
+            ["--l-win", "1", "--forecaster", "persistence"],
+        ],
+    )
+    def test_bad_window_arguments_exit_2(self, tmp_path, capsys, command, bad):
+        tel = tmp_path / "tel.csv"
+        save_telemetry_csv(tel, generate_attitude_series(7, 650))
+        code = self.run_cli(
+            command, "--telemetry", str(tel), "--out", str(tmp_path / "out"), *bad
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert self.run_cli(
