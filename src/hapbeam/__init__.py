@@ -90,7 +90,6 @@ from .solver import (
     BeamSolution,
     SnapshotProblem,
     SolverScalars,
-    admit_feasibility_driven,
     kkt_decompose,
     kkt_reconstruct,
     power_dual_bisection,

@@ -17,6 +17,8 @@ from .errors import ConfigError, DataError, HapbeamError, exit_code_for
 from .forecast import ForecastRequest, forecast_errors, save_forecast_csv
 from .harness import (
     LOCAL_FORECASTERS,
+    ForecastSpec,
+    HorizonSpec,
     ScenarioConfig,
     forecaster,
     generate_attitude_series,
@@ -39,10 +41,16 @@ def _issue_all(args):
     """Load the telemetry and issue a local forecast at every stride-th
     origin.  The window arguments are checked as the scenario config checks
     them, so a bad value exits 2 before any forecasting."""
-    ScenarioConfig.from_dict({
-        "horizon": {"l_win": args.l_win, "h_pred": args.h_pred, "delay": args.delay},
-        "forecaster": {"kind": args.forecaster, "order": args.order},
-    })
+    try:
+        ScenarioConfig(
+            horizon=HorizonSpec(l_win=args.l_win, h_pred=args.h_pred, delay=args.delay),
+            forecaster=ForecastSpec(kind=args.forecaster, order=args.order),
+        )
+    except ConfigError as exc:
+        raise ConfigError(
+            f"--forecaster {args.forecaster} --order {args.order} --l-win {args.l_win} "
+            f"--h-pred {args.h_pred} --delay {args.delay}: {exc}"
+        ) from None
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     series = load_telemetry_csv(args.telemetry)
@@ -173,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_telemetry)
 
-    common = dict(l_win=192, h_pred=12, delay=6, order=24, stride=1)
+    horizon, fc = HorizonSpec(), ForecastSpec()
     for name, fn in (("forecast-eval", cmd_forecast_eval), ("calibrate", cmd_calibrate)):
         p = sub.add_parser(
             name,
@@ -184,12 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument("--telemetry", required=True)
-        p.add_argument("--forecaster", choices=LOCAL_FORECASTERS, default="ar")
-        p.add_argument("--order", type=int, default=common["order"])
-        p.add_argument("--l-win", type=int, default=common["l_win"])
-        p.add_argument("--h-pred", type=int, default=common["h_pred"])
-        p.add_argument("--delay", type=int, default=common["delay"])
-        p.add_argument("--stride", type=int, default=common["stride"])
+        p.add_argument("--forecaster", choices=LOCAL_FORECASTERS, default=fc.kind)
+        p.add_argument("--order", type=int, default=fc.order)
+        p.add_argument("--l-win", type=int, default=horizon.l_win)
+        p.add_argument("--h-pred", type=int, default=horizon.h_pred)
+        p.add_argument("--delay", type=int, default=horizon.delay)
+        p.add_argument("--stride", type=int, default=1)
         if name == "calibrate":
             p.add_argument("--rho", type=float, default=0.1)
             p.add_argument("--out", required=True)

@@ -56,11 +56,6 @@ class InvariantError(HapbeamError):
 
 
 def exit_code_for(exc: BaseException) -> int:
-    """Map an exception to the process exit code contract."""
-    if isinstance(exc, ConfigError):
-        return 2
-    if isinstance(exc, DataError):
-        return 3
-    if isinstance(exc, InvariantError):
-        return 4
-    return 1
+    """Map an exception to the process exit code contract: the class's
+    `exit_code`, or 1 for an exception that carries none."""
+    return getattr(exc, "exit_code", 1)

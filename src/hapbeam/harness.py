@@ -13,7 +13,7 @@ runs it as an ordered serial loop.
 import itertools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -69,11 +69,8 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be a mapping")
-    return value
+# The specs check their fields in __post_init__, so a config built in code,
+# with dataclasses.replace or from a mapping is checked the same way.
 
 
 @dataclass(frozen=True)
@@ -83,11 +80,6 @@ class ArraySpec:
     spacing_x_wl: float = 0.5  # element pitch in carrier wavelengths
     spacing_y_wl: float = 0.5
     wavelength_m: float = 0.01
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ArraySpec":
-        _check_keys(d, cls.__dataclass_fields__, "array")
-        return cls(**d)
 
     def build(self, n_rf: int) -> ArrayConfig:
         return ArrayConfig(
@@ -107,16 +99,11 @@ class PlatformSpec:
     y_m: float = 0.0
     mounting_deg: tuple = (0.0, 0.0, 0.0)  # yaw, pitch, roll offset
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "PlatformSpec":
-        _check_keys(d, cls.__dataclass_fields__, "hap")
-        d = dict(d)
-        if "mounting_deg" in d:
-            m = d["mounting_deg"]
-            if not isinstance(m, (list, tuple)) or len(m) != 3:
-                raise ConfigError("hap.mounting_deg must be [yaw, pitch, roll]")
-            d["mounting_deg"] = tuple(float(v) for v in m)
-        return cls(**d)
+    def __post_init__(self):
+        m = self.mounting_deg
+        if not isinstance(m, (list, tuple)) or len(m) != 3:
+            raise ConfigError("hap.mounting_deg must be [yaw, pitch, roll]")
+        object.__setattr__(self, "mounting_deg", tuple(float(v) for v in m))
 
     @property
     def position(self) -> np.ndarray:
@@ -133,19 +120,15 @@ class UserSpec:
     layout: str = "uniform"
     disc_radius_m: float = 20e3
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "UserSpec":
-        _check_keys(d, cls.__dataclass_fields__, "users")
-        spec = cls(**d)
-        if spec.layout not in USER_LAYOUTS:
+    def __post_init__(self):
+        if self.layout not in USER_LAYOUTS:
             raise ConfigError(
-                f"users.layout must be one of {USER_LAYOUTS}, got {spec.layout!r}"
+                f"users.layout must be one of {USER_LAYOUTS}, got {self.layout!r}"
             )
-        if spec.count < 1:
+        if self.count < 1:
             raise ConfigError("users.count must be >= 1")
-        if spec.disc_radius_m <= 0:
+        if self.disc_radius_m <= 0:
             raise ConfigError("users.disc_radius_m must be positive")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -155,18 +138,14 @@ class ChannelSpec:
     noise_power_w: float = 1e-13
     bandwidth_hz: float = 1.0
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelSpec":
-        _check_keys(d, cls.__dataclass_fields__, "channel")
-        spec = cls(**d)
-        if spec.preset not in CHANNEL_PRESETS:
+    def __post_init__(self):
+        if self.preset not in CHANNEL_PRESETS:
             raise ConfigError(
                 f"channel.preset must be one of {tuple(CHANNEL_PRESETS)}, "
-                f"got {spec.preset!r}"
+                f"got {self.preset!r}"
             )
-        if spec.beta_mode not in ("fspl", "normalized"):
+        if self.beta_mode not in ("fspl", "normalized"):
             raise ConfigError("channel.beta_mode must be 'fspl' or 'normalized'")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -174,11 +153,6 @@ class QosSpec:
     r_min: float = 1.6  # per-user rate floor, bit/s per hertz of bandwidth
     p_max_w: float = 10.0
     circuit_power_w: float = 1.0
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "QosSpec":
-        _check_keys(d, cls.__dataclass_fields__, "qos")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -188,15 +162,11 @@ class HorizonSpec:
     h_pred: int = 12
     l_win: int = 192
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "HorizonSpec":
-        _check_keys(d, cls.__dataclass_fields__, "horizon")
-        spec = cls(**d)
-        if not 0 <= spec.delay < spec.h_pred:
+    def __post_init__(self):
+        if not 0 <= self.delay < self.h_pred:
             raise ConfigError("horizon must satisfy 0 <= delay < h_pred")
-        if spec.dt_s <= 0 or spec.l_win < 2:
+        if self.dt_s <= 0 or self.l_win < 2:
             raise ConfigError("horizon.dt_s must be positive and l_win >= 2")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -205,19 +175,15 @@ class ForecastSpec:
     order: int = 24
     path: str = ""  # external replay CSV
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForecastSpec":
-        _check_keys(d, cls.__dataclass_fields__, "forecaster")
-        spec = cls(**d)
-        if spec.kind not in FORECASTER_KINDS:
+    def __post_init__(self):
+        if self.kind not in FORECASTER_KINDS:
             raise ConfigError(
-                f"forecaster.kind must be one of {FORECASTER_KINDS}, got {spec.kind!r}"
+                f"forecaster.kind must be one of {FORECASTER_KINDS}, got {self.kind!r}"
             )
-        if spec.kind == "external" and not spec.path:
+        if self.kind == "external" and not self.path:
             raise ConfigError("forecaster.path required for the external kind")
-        if spec.order < 1:
-            raise ConfigError(f"forecaster.order must be >= 1, got {spec.order}")
-        return spec
+        if self.order < 1:
+            raise ConfigError(f"forecaster.order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -227,18 +193,14 @@ class AdmissionSpec:
     objective: str = "sum-rate"
     n_ref: int = 10
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "AdmissionSpec":
-        _check_keys(d, cls.__dataclass_fields__, "admission")
-        spec = cls(**d)
-        if spec.priority not in ADMISSION_PRIORITIES:
+    def __post_init__(self):
+        if self.priority not in ADMISSION_PRIORITIES:
             raise ConfigError(
                 f"admission.priority must be one of {ADMISSION_PRIORITIES}, "
-                f"got {spec.priority!r}"
+                f"got {self.priority!r}"
             )
-        if spec.objective not in OBJECTIVES:
+        if self.objective not in OBJECTIVES:
             raise ConfigError(f"admission.objective must be one of {OBJECTIVES}")
-        return spec
 
 
 @dataclass(frozen=True)
@@ -248,17 +210,13 @@ class CalibrationSpec:
     box_halfwidth_deg: float = 3.0  # steering box half-width for the curvature bound
     grid: int = 9
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CalibrationSpec":
-        _check_keys(d, cls.__dataclass_fields__, "calibration")
-        spec = cls(**d)
-        if not 0 < spec.rho < 1:
+    def __post_init__(self):
+        if not 0 < self.rho < 1:
             raise ConfigError("calibration.rho must lie in (0, 1)")
-        if spec.epsilon <= 0 or spec.box_halfwidth_deg <= 0:
+        if self.epsilon <= 0 or self.box_halfwidth_deg <= 0:
             raise ConfigError("calibration epsilon and box half-width must be positive")
-        if spec.grid < 2:
-            raise ConfigError(f"calibration.grid must be >= 2, got {spec.grid}")
-        return spec
+        if self.grid < 2:
+            raise ConfigError(f"calibration.grid must be >= 2, got {self.grid}")
 
 
 @dataclass(frozen=True)
@@ -268,10 +226,9 @@ class SeedSpec:
     channel: int = 3
     admission: int = 4
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeedSpec":
-        _check_keys(d, cls.__dataclass_fields__, "seeds")
-        return cls(**{k: int(v) for k, v in d.items()})
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, int(getattr(self, f.name)))
 
 
 @dataclass(frozen=True)
@@ -289,47 +246,43 @@ class ScenarioConfig:
     seeds: SeedSpec = field(default_factory=SeedSpec)
     snapshots: int = 200
 
+    def __post_init__(self):
+        if self.compensation not in COMPENSATION_MODES:
+            raise ConfigError(
+                f"compensation must be one of {COMPENSATION_MODES}, "
+                f"got {self.compensation!r}"
+            )
+        object.__setattr__(self, "snapshots", int(self.snapshots))
+        if self.snapshots < 1:
+            raise ConfigError("snapshots must be >= 1")
+        horizon, fc = self.horizon, self.forecaster
+        if fc.kind == "ar" and horizon.l_win < 4 * fc.order:
+            raise ConfigError(
+                f"horizon.l_win {horizon.l_win} too short for AR order "
+                f"{fc.order}; need l_win >= 4 * order"
+            )
+
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
+        """Build from a JSON-style mapping; each section is a mapping of
+        its spec's fields, and unknown keys are rejected."""
         if not isinstance(raw, dict):
             raise ConfigError("scenario config must be a mapping at top level")
         _check_keys(raw, cls.__dataclass_fields__, "scenario config")
-        compensation = raw.get("compensation", "forecast")
-        if compensation not in COMPENSATION_MODES:
-            raise ConfigError(
-                f"compensation must be one of {COMPENSATION_MODES}, "
-                f"got {compensation!r}"
-            )
-        snapshots = int(raw.get("snapshots", 200))
-        if snapshots < 1:
-            raise ConfigError("snapshots must be >= 1")
-        horizon = HorizonSpec.from_dict(_section(raw, "horizon"))
-        forecast_spec = ForecastSpec.from_dict(_section(raw, "forecaster"))
-        if forecast_spec.kind == "ar" and horizon.l_win < 4 * forecast_spec.order:
-            raise ConfigError(
-                f"horizon.l_win {horizon.l_win} too short for AR order "
-                f"{forecast_spec.order}; need l_win >= 4 * order"
-            )
-        return cls(
-            array=ArraySpec.from_dict(_section(raw, "array")),
-            hap=PlatformSpec.from_dict(_section(raw, "hap")),
-            users=UserSpec.from_dict(_section(raw, "users")),
-            channel=ChannelSpec.from_dict(_section(raw, "channel")),
-            qos=QosSpec.from_dict(_section(raw, "qos")),
-            horizon=horizon,
-            forecaster=forecast_spec,
-            compensation=compensation,
-            admission=AdmissionSpec.from_dict(_section(raw, "admission")),
-            calibration=CalibrationSpec.from_dict(_section(raw, "calibration")),
-            seeds=SeedSpec.from_dict(_section(raw, "seeds")),
-            snapshots=snapshots,
-        )
+        kwargs = dict(raw)
+        for f in fields(cls):
+            if f.default_factory is MISSING or f.name not in raw:
+                continue
+            section = raw[f.name]
+            if not isinstance(section, dict):
+                raise ConfigError(f"config section {f.name!r} must be a mapping")
+            _check_keys(section, f.default_factory.__dataclass_fields__, f.name)
+            kwargs[f.name] = f.default_factory(**section)
+        return cls(**kwargs)
 
 
 def admission_priority_variant(config: ScenarioConfig, priority: str) -> ScenarioConfig:
     """Same scenario with the admission ranking replaced."""
-    if priority not in ADMISSION_PRIORITIES:
-        raise ConfigError(f"unknown admission priority {priority!r}")
     return replace(config, admission=replace(config.admission, priority=priority))
 
 

@@ -202,13 +202,18 @@ def predict_admission_and_scalars(
         cols = np.where(norms > 0, norms, 1.0)
         D0[:, cert_idx] = h[:, cert_idx] / cols * np.sqrt(problem.p_max / cert_idx.size)
         D0 = project_power(problem, D0)
-    G = problem.h_eff @ D0
-    p2 = np.abs(G) ** 2
-    denom = p2.sum(axis=1) + problem.noise_power
+    u, w = _mmse_scalars(problem, D0)
+    return SolverScalars(scores=scores, u=u, w=w, pi=pi)
+
+
+def _mmse_scalars(problem: SnapshotProblem, D: np.ndarray):
+    """MMSE receive scalars u_k = G_kk / (sum_j |G_kj|^2 + noise) and
+    weights w_k = 1 / (1 - Re(u_k^* G_kk)) clamped to W_CLAMP, G = H D."""
+    G = problem.h_eff @ D
+    denom = np.sum(np.abs(G) ** 2, axis=1) + problem.noise_power
     u = np.diagonal(G) / denom
     w = 1.0 / np.maximum(1.0 - (u.conj() * np.diagonal(G)).real, 1.0 / W_CLAMP[1])
-    w = np.clip(w, *W_CLAMP)
-    return SolverScalars(scores=scores, u=u, w=w, pi=pi)
+    return u, np.clip(w, *W_CLAMP)
 
 
 def kkt_decompose(
@@ -236,22 +241,21 @@ def kkt_reconstruct(
     admitted: np.ndarray,
     scalars: SolverScalars,
     nu: float,
-    ridge: float = 0.0,
     eig: tuple | None = None,
 ) -> np.ndarray:
     """Closed-form beamformer from the weighted-MMSE stationarity system.
 
     d_k = C(nu)^{-1} (w_k u_k^* h_eff_k) for admitted k, with
-    C(nu) = sum over admitted of w |u|^2 h h^H + (nu + ridge) I.  C is
+    C(nu) = sum over admitted of w |u|^2 h h^H + nu I.  C is
     eigendecomposed once per admitted set by `kkt_decompose`; pass that as
     `eig` to reuse it across shifts, otherwise it is built here.  A shift
-    then only rescales the eigenvalues: D = U Z / (lam + nu + ridge).
+    then only rescales the eigenvalues: D = U Z / (lam + nu).
     """
     if nu < 0:
         raise ValueError(f"dual variable must be >= 0, got {nu}")
     idx, U, lam, Z = kkt_decompose(problem, admitted, scalars) if eig is None else eig
     D = np.zeros((problem.h_eff.shape[1], problem.num_users), dtype=complex)
-    D[:, idx] = U @ (Z / (lam + (nu + ridge))[:, None])
+    D[:, idx] = U @ (Z / (lam + nu)[:, None])
     return D
 
 
@@ -268,6 +272,7 @@ def power_dual_bisection(
     """Smallest-necessary power dual: nu = 0 when the unconstrained
     reconstruction already fits the budget, otherwise geometric growth of
     an upper bracket followed by bisection into [0.99, 1.0] * P_max.
+    `ridge` is a fixed extra shift: each nu is reconstructed at nu + ridge.
 
     One eigendecomposition of C serves every nu.  Power is non-increasing
     in nu; every evaluation is recorded and monotonicity asserted per call.
@@ -276,7 +281,7 @@ def power_dual_bisection(
     eig = kkt_decompose(problem, admitted, scalars)
 
     def evaluate(nu: float) -> tuple[np.ndarray, float]:
-        D = kkt_reconstruct(problem, admitted, scalars, nu, ridge, eig)
+        D = kkt_reconstruct(problem, admitted, scalars, nu + ridge, eig)
         p = transmit_power(problem, D)
         evals.append((nu, p))
         return D, p
@@ -316,6 +321,15 @@ def power_dual_bisection(
     return best_nu, best_D, len(evals)
 
 
+def _solve_projected(problem, admitted, scalars, ridge: float = 0.0):
+    """Power-dual reconstruction, exact power projection and the resulting
+    rates: (D, rates, dual evaluations)."""
+    _, D, n_ev = power_dual_bisection(problem, admitted, scalars, ridge)
+    D = project_power(problem, D)
+    _, rates = _rates(problem, D)
+    return D, rates, n_ev
+
+
 def _feasible(problem: SnapshotProblem, admitted: np.ndarray, rates: np.ndarray) -> bool:
     return bool(np.all(rates[admitted] >= problem.r_min[admitted]))
 
@@ -339,10 +353,8 @@ def strict_repair(
     stats = {"drops": 0, "addbacks": 0, "bisection_evals": 0}
 
     def solve_for(mask):
-        nu, D, n_ev = power_dual_bisection(problem, mask, scalars)
+        D, rates, n_ev = _solve_projected(problem, mask, scalars)
         stats["bisection_evals"] += n_ev
-        D = project_power(problem, D)
-        _, rates = _rates(problem, D)
         return D, rates
 
     D = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
@@ -383,28 +395,6 @@ def strict_repair(
     return admitted, D, stats
 
 
-def admit_feasibility_driven(problem: SnapshotProblem) -> tuple[np.ndarray, np.ndarray]:
-    """Offline reference admission: start from the full certified set and
-    drop the hardest user (largest pi_k) until the reconstructed-and-
-    projected beamformer satisfies every admitted rate floor."""
-    scalars = predict_admission_and_scalars(problem, k_min=problem.num_users)
-    admitted = problem.certified.copy()
-    pi = required_power_proxy(problem)
-    for _ in range(problem.num_users + 1):
-        if not admitted.any():
-            return admitted, np.zeros(
-                (problem.h_eff.shape[1], problem.num_users), dtype=complex
-            )
-        _, D, _ = power_dual_bisection(problem, admitted, scalars)
-        D = project_power(problem, D)
-        _, rates = _rates(problem, D)
-        if _feasible(problem, admitted, rates):
-            return admitted, D
-        metric = np.where(admitted, pi, -np.inf)
-        admitted[int(np.argmax(metric))] = False
-    raise InvariantError("feasibility-driven admission failed to terminate")
-
-
 def _objective(problem, admitted, rates, power, objective: str) -> float:
     total = float(np.sum(rates[admitted]))
     if objective == "sum-rate":
@@ -440,23 +430,14 @@ def refine_qos_safe(
     best = _objective(problem, admitted, rates, power, objective)
     for _ in range(n_ref):
         stats["refine_tried"] += 1
-        G = problem.h_eff @ D
-        p2 = np.abs(G) ** 2
-        denom = p2.sum(axis=1) + problem.noise_power
-        u = np.where(admitted, np.diagonal(G) / denom, 0.0)
-        w = np.clip(
-            1.0 / np.maximum(1.0 - (np.conj(u) * np.diagonal(G)).real, 1.0 / W_CLAMP[1]),
-            *W_CLAMP,
-        )
+        u, w = _mmse_scalars(problem, D)
         ridge = 0.0
         if objective == "ee":
             ridge = best if power <= 0 else float(
                 np.sum(rates[admitted]) / (power + problem.circuit_power)
             )
         scal = SolverScalars(scores=admitted.astype(float), u=u, w=w, pi=pi)
-        _, D_new, _ = power_dual_bisection(problem, admitted, scal, ridge)
-        D_new = project_power(problem, D_new)
-        _, rates_new = _rates(problem, D_new)
+        D_new, rates_new, _ = _solve_projected(problem, admitted, scal, ridge)
         power_new = transmit_power(problem, D_new)
         val = _objective(problem, admitted, rates_new, power_new, objective)
         if _feasible(problem, admitted, rates_new) and val >= best:

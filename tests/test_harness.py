@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -10,7 +11,15 @@ from hapbeam.errors import ConfigError, ParseError, UncoveredSlotError
 from hapbeam.forecast import AttitudeSeries, ForecastRequest, forecast_ar, save_forecast_csv
 from hapbeam.geometry import EulerZYX
 from hapbeam.harness import (
+    AdmissionSpec,
+    CalibrationSpec,
+    ChannelSpec,
+    ForecastSpec,
+    HorizonSpec,
+    PlatformSpec,
     ScenarioConfig,
+    SeedSpec,
+    UserSpec,
     admission_priority_variant,
     compensation_attitude,
     generate_attitude_series,
@@ -72,6 +81,45 @@ class TestScenarioConfig:
     def test_invalid_values(self, raw):
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(raw)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: UserSpec(layout="grid"),
+            lambda: ChannelSpec(preset="rayleigh"),
+            lambda: replace(ScenarioConfig(), compensation="psychic"),
+            lambda: replace(AdmissionSpec(), priority="alphabetical"),
+            lambda: ForecastSpec(kind="lstm"),
+            lambda: HorizonSpec(delay=12, h_pred=12),
+            lambda: replace(CalibrationSpec(), rho=1.5),
+            lambda: replace(ScenarioConfig(), snapshots=0),
+            lambda: ForecastSpec(order=0),
+            lambda: replace(ScenarioConfig(), horizon=HorizonSpec(l_win=50)),
+            lambda: CalibrationSpec(grid=1),
+            lambda: PlatformSpec(mounting_deg=(0.0, 90.0)),
+        ],
+        ids=[
+            "layout", "preset", "compensation", "priority", "kind", "delay",
+            "rho", "snapshots", "order", "l_win", "grid", "mounting",
+        ],
+    )
+    def test_invalid_values_built_directly(self, build):
+        # the same checks hold without from_dict: constructors and replace
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_construction_coerces(self):
+        assert PlatformSpec(mounting_deg=[10, -5, 0]).mounting_deg == (10.0, -5.0, 0.0)
+        seeds = SeedSpec(attitude=np.uint32(7), placement=3.0)
+        assert (seeds.attitude, seeds.placement) == (7, 3)
+        assert type(seeds.attitude) is int and type(seeds.placement) is int
+        cfg = replace(ScenarioConfig(), snapshots=np.int64(5))
+        assert type(cfg.snapshots) is int and cfg.snapshots == 5
+        assert ScenarioConfig.from_dict({"seeds": {"channel": 9}}).seeds.channel == 9
+
+    def test_non_mapping_section(self):
+        with pytest.raises(ConfigError, match="'users' must be a mapping"):
+            ScenarioConfig.from_dict({"users": 4})
 
     def test_priority_variant(self):
         cfg = ScenarioConfig.from_dict({})
@@ -463,7 +511,11 @@ class TestCli:
             command, "--telemetry", str(tel), "--out", str(tmp_path / "out"), *bad
         )
         assert code == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        # the message names the flags and values as typed, not config fields
+        for flag, value in zip(bad[::2], bad[1::2]):
+            assert flag in err and value in err, err
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert self.run_cli(
