@@ -51,31 +51,31 @@ class ArrayConfig:
         return self.m_x * self.m_y
 
 
-def steering_vector(cfg: ArrayConfig, theta: float, phi: float) -> np.ndarray:
+def steering_vector(cfg: ArrayConfig, theta, phi) -> np.ndarray:
     """Phase-only steering vector, shape (m_x * m_y,), every entry of
     magnitude 1/sqrt(M).
 
     Element (m, n) carries phase (2 pi / wavelength) *
     (m * d_x * sin(theta) cos(phi) + n * d_y * sin(theta) sin(phi));
-    the flat index runs over m (x axis) fastest.
+    the flat index runs over m (x axis) fastest.  Angle arrays of shape (K,)
+    give the K vectors as the columns of an (M, K) matrix, each column equal
+    bit for bit to the call on its own angles.
     """
     sx = np.sin(theta) * np.cos(phi)
     sy = np.sin(theta) * np.sin(phi)
     k0 = 2.0 * np.pi / cfg.wavelength
-    px = k0 * cfg.d_x * sx * np.arange(cfg.m_x)
-    py = k0 * cfg.d_y * sy * np.arange(cfg.m_y)
-    phase = py[:, None] + px[None, :]  # (m_y, m_x), m fastest when raveled
-    return np.exp(1j * phase).ravel() / np.sqrt(cfg.num_elements)
+    px = np.multiply.outer(np.arange(cfg.m_x), k0 * cfg.d_x * sx)  # (m_x, ...)
+    py = np.multiply.outer(np.arange(cfg.m_y), k0 * cfg.d_y * sy)  # (m_y, ...)
+    phase = py[:, None] + px[None, :]  # (m_y, m_x, ...), m fastest when raveled
+    return np.exp(1j * phase).reshape((cfg.num_elements,) + np.shape(sx)) / np.sqrt(
+        cfg.num_elements
+    )
 
 
 def _steering_matrix(cfg: ArrayConfig, geom: WorldGeometry, att) -> np.ndarray:
     """Per-user steering vectors, shape (M, K), at an EulerZYX or 3x3 attitude."""
     R = euler_to_rotation(att) if isinstance(att, EulerZYX) else ensure_rotation(att)
-    A = np.empty((cfg.num_elements, geom.num_users), dtype=complex)
-    for k in range(geom.num_users):
-        theta, phi = los_to_body_angles(geom.los_unit[k], R)
-        A[:, k] = steering_vector(cfg, theta, phi)
-    return A
+    return steering_vector(cfg, *los_to_body_angles(geom.los_unit, R))
 
 
 def analog_beamformer_at(
@@ -201,47 +201,64 @@ def exact_gain_loss(cfg: ArrayConfig, xi) -> float:
 
 @dataclass(frozen=True)
 class AngleBox:
-    """Axis-aligned steering-angle box in (theta, phi)."""
+    """Axis-aligned steering-angle box in (theta, phi).  The bounds may be
+    arrays of one shape, one box per element."""
 
-    theta_lo: float
-    theta_hi: float
-    phi_lo: float
-    phi_hi: float
+    theta_lo: float | np.ndarray
+    theta_hi: float | np.ndarray
+    phi_lo: float | np.ndarray
+    phi_hi: float | np.ndarray
 
     def __post_init__(self):
-        if self.theta_lo > self.theta_hi or self.phi_lo > self.phi_hi:
+        if np.any(np.greater(self.theta_lo, self.theta_hi)) or np.any(
+            np.greater(self.phi_lo, self.phi_hi)
+        ):
             raise ConfigError("angle box must have lo <= hi per axis")
 
     @classmethod
-    def around(cls, theta: float, phi: float, half_width: float) -> "AngleBox":
+    def around(cls, theta, phi, half_width: float) -> "AngleBox":
         return cls(theta - half_width, theta + half_width, phi - half_width, phi + half_width)
 
 
-def spectral_bound_l2(cfg: ArrayConfig, box: AngleBox, grid: int = 33) -> float:
-    """Worst-case curvature L^2 = max of lambda_max(Q) over a grid-by-grid
-    lattice of operating points spanning the steering box.
+def _sin2_range(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise (min, max) of sin^2 over [lo, hi].  sin^2 is monotone
+    between multiples of pi/2, so each extreme is at an end unless the
+    interval holds a zero (k pi, value 0) or a peak (pi/2 + k pi, value 1)."""
+    ends = np.sin(lo) ** 2, np.sin(hi) ** 2
+    has_zero = np.floor(hi / np.pi) >= np.ceil(lo / np.pi)
+    has_peak = np.floor(hi / np.pi - 0.5) >= np.ceil(lo / np.pi - 0.5)
+    return (
+        np.where(has_zero, 0.0, np.minimum(*ends)),
+        np.where(has_peak, 1.0, np.maximum(*ends)),
+    )
 
-    Certifies, via the Rayleigh quotient, that the quadratic gain loss obeys
-    dw^T Q dw <= L^2 ||dw||^2 at every lattice point.  Q = J^T diag(c) J has
-    rank 2, so lambda_max(Q) is the larger eigenvalue of the 2x2 matrix
-    diag(sqrt(c)) J J^T diag(sqrt(c)) = [[a (1 - u_x^2), -sqrt(ab) u_x u_y],
-    [., b (1 - u_y^2)]] with a = c_x (d_x / wavelength)^2 and
-    b = c_y (d_y / wavelength)^2.
+
+def spectral_bound_l2(cfg: ArrayConfig, box: AngleBox, grid=None):
+    """Worst-case curvature L^2 >= lambda_max(Q) at every operating point of
+    the steering box, in closed form; one value per box element.
+
+    Q = J^T diag(c) J has rank 2, so lambda_max(Q) is the larger eigenvalue
+    of diag(sqrt(c)) J J^T diag(sqrt(c)) = [[p, -r], [-r, q]] with
+    p = a (1 - u_x^2), q = b (1 - u_y^2), r = sqrt(ab) u_x u_y,
+    a = c_x (d_x / wavelength)^2 and b = c_y (d_y / wavelength)^2.  That
+    eigenvalue, (p + q) / 2 + hypot((p - q) / 2, r), does not decrease in
+    p, q or |r|, so it is bounded by its value at the box maxima of p, q and
+    |r|, taken from u_x^2 = sin^2(theta) cos^2(phi), u_y^2 = sin^2(theta)
+    sin^2(phi) and |u_x u_y| = sin^2(theta) |sin(2 phi)| / 2.  The bound is
+    exact on one-point boxes and is capped at max(a, b), which dominates
+    lambda_max(Q) in every direction.  ``grid`` is unused and kept for
+    callers that pass a lattice size.
     """
-    if grid < 2:
-        raise ConfigError(f"grid must have at least 2 points per axis, got {grid}")
-    thetas = np.linspace(box.theta_lo, box.theta_hi, grid)
-    phis = np.linspace(box.phi_lo, box.phi_hi, grid)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    ux, uy, uz = _angles_to_dir(tt.ravel(), pp.ravel()).T
     cx, cy = taper_constants(cfg)
     a = cx * (cfg.d_x / cfg.wavelength) ** 2
     b = cy * (cfg.d_y / cfg.wavelength) ** 2
-    # 1 - u_x^2 written as u_y^2 + u_z^2 (u is unit) to avoid cancellation
-    p = a * (uy**2 + uz**2)
-    q = b * (ux**2 + uz**2)
-    r = np.sqrt(a * b) * ux * uy
-    return float(np.max(0.5 * (p + q) + np.hypot(0.5 * (p - q), r)))
+    st_min, st_max = _sin2_range(box.theta_lo, box.theta_hi)
+    sp_min, sp_max = _sin2_range(box.phi_lo, box.phi_hi)
+    _, s2p_max = _sin2_range(2.0 * box.phi_lo, 2.0 * box.phi_hi)
+    p = a * (1.0 - st_min * (1.0 - sp_max))
+    q = b * (1.0 - st_min * sp_min)
+    r = np.sqrt(a * b) * st_max * 0.5 * np.sqrt(s2p_max)
+    return np.minimum(0.5 * (p + q) + np.hypot(0.5 * (p - q), r), max(a, b))
 
 
 def certify_users(l2, delta_omega: float, epsilon: float) -> np.ndarray:

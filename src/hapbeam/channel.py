@@ -70,13 +70,14 @@ def synthesize_channel(
     w_los = np.where(pure, 1.0, np.sqrt(kappa / (kappa + 1.0)))
     w_nlos = np.where(pure, 0.0, np.sqrt(1.0 / (kappa + 1.0)))
     noise = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
-    H = np.empty((M, K), dtype=complex)
-    for k in range(K):
-        phase = np.exp(-1j * 2.0 * np.pi * geom.distance[k] / cfg.wavelength)
-        h_los = np.sqrt(params.beta[k] * M) * A[:, k] * phase
-        h_nlos = np.sqrt(params.beta[k] / 2.0) * noise[:, k]
-        H[:, k] = w_los[k] * h_los + w_nlos[k] * h_nlos
-    return H
+    # One scalar exp per user: the slant-range phases run to ~1e7 rad, where
+    # the array form of np.exp rounds differently in the last bits.
+    phase = np.array(
+        [np.exp(-1j * 2.0 * np.pi * d / cfg.wavelength) for d in geom.distance]
+    )
+    h_los = np.sqrt(params.beta * M) * A * phase
+    h_nlos = np.sqrt(params.beta / 2.0) * noise
+    return w_los * h_los + w_nlos * h_nlos
 
 
 def effective_channel(H: np.ndarray, A: np.ndarray) -> np.ndarray:

@@ -12,11 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import calibrate
+from .calibration import calibrate, coverage_check
 from .errors import ConfigError, DataError, HapbeamError, exit_code_for
 from .forecast import ForecastRequest, forecast_errors, save_forecast_csv
 from .harness import (
     LOCAL_FORECASTERS,
+    CalibrationSpec,
     ForecastSpec,
     HorizonSpec,
     ScenarioConfig,
@@ -99,10 +100,14 @@ def cmd_forecast_eval(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    try:
+        CalibrationSpec(rho=args.rho)
+    except ConfigError as exc:
+        raise ConfigError(f"--rho {args.rho}: {exc}") from None
     series, outputs = _issue_all(args)
     report = calibrate(series, outputs, args.delay, args.rho)
     report.save(args.out)
-    cover = float(np.mean(report.scores <= report.delta_omega))
+    cover = coverage_check(report.scores, report.delta_omega)
     print(
         f"calibrated on {report.n} windows: delta_omega = "
         f"{np.degrees(report.delta_omega):.4f} deg at rho = {args.rho} "
@@ -199,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--delay", type=int, default=horizon.delay)
         p.add_argument("--stride", type=int, default=1)
         if name == "calibrate":
-            p.add_argument("--rho", type=float, default=0.1)
+            p.add_argument("--rho", type=float, default=CalibrationSpec().rho)
             p.add_argument("--out", required=True)
             p.add_argument(
                 "--forecasts", default="", help="also save the issued forecasts as CSV"

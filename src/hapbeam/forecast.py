@@ -122,19 +122,22 @@ def _fit_ar_forecast(z: np.ndarray, order: int, h_pred: int) -> np.ndarray | Non
     the forward iteration produces non-finite values."""
     mean = z.mean()
     zc = z - mean
-    L = zc.size
     y = zc[order:]
-    X = np.column_stack([zc[order - j : L - j] for j in range(1, order + 1)])
+    # row i holds lags 1..order of y[i], zc[i + order - 1] down to zc[i]: a
+    # strided view of zc.  (sliding_window_view gives the same view, but its
+    # array-interface path grew peak RSS by 1.5 MiB over 1e5 fits.)
+    step = zc.itemsize
+    X = np.ndarray((y.size, order), zc.dtype, zc, (order - 1) * step, (step, -step))
     coef, *_ = np.linalg.lstsq(X, y, rcond=None)
     if not np.all(np.isfinite(coef)):
         return None
-    buf = list(zc[-order:])  # chronological, most recent last
-    out = np.empty(h_pred)
-    for i in range(h_pred):
-        nxt = float(np.dot(coef, buf[::-1]))
-        out[i] = nxt
-        buf.append(nxt)
-        buf.pop(0)
+    # newest first, so the lags of the forecast written to buf[i] are the
+    # contiguous slice after it
+    buf = np.empty(h_pred + order)
+    buf[h_pred:] = zc[: -order - 1 : -1]
+    for i in range(h_pred - 1, -1, -1):
+        buf[i] = np.dot(coef, buf[i + 1 : i + 1 + order])
+    out = buf[h_pred - 1 :: -1]
     if not np.all(np.isfinite(out)):
         return None
     return out + mean

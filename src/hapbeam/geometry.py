@@ -156,19 +156,21 @@ def ensure_rotation(R: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return R
 
 
-def los_to_body_angles(e_world, R: np.ndarray) -> tuple[float, float]:
+def los_to_body_angles(e_world, R: np.ndarray):
     """Steering angles (theta, phi) of a world-frame unit vector in the body frame.
 
     u = R^T e; theta = arccos(u_z) in [0, pi], phi = atan2(u_y, u_x) in
     (-pi, pi] with atan2(0, 0) defined as 0.  R is the body-to-world
-    rotation of the platform attitude.
+    rotation of the platform attitude.  One vector, shape (3,), gives two
+    floats; a (K, 3) stack gives two arrays of shape (K,).
     """
     e = np.asarray(e_world, dtype=float)
-    u = R.T @ e
-    theta = float(np.arccos(np.clip(u[2], -1.0, 1.0)))
-    phi = float(np.arctan2(u[1], u[0]))
-    if phi == -np.pi:
-        phi = np.pi
+    u = np.atleast_2d(e) @ R  # row k is R^T e_k
+    theta = np.arccos(np.clip(u[:, 2], -1.0, 1.0))
+    phi = np.arctan2(u[:, 1], u[:, 0])
+    phi[phi == -np.pi] = np.pi
+    if e.ndim == 1:
+        return float(theta[0]), float(phi[0])
     return theta, phi
 
 

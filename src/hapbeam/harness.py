@@ -12,6 +12,7 @@ runs it as an ordered serial loop.
 
 import itertools
 import math
+import numbers
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
@@ -69,6 +70,29 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_types(spec, where: str) -> None:
+    """Raise ConfigError naming the first int, float or str field of `spec`
+    whose value has another type; an int field takes any integral number
+    and stores it as an int."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        name = f"{where}.{f.name}" if where else f.name
+        if f.type is int:
+            if not _is_number(value) or not (
+                isinstance(value, numbers.Integral) or float(value).is_integer()
+            ):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(spec, f.name, int(value))
+        elif f.type is float and not _is_number(value):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
+        elif f.type is str and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a string, got {value!r}")
+
+
 # The specs check their fields in __post_init__, so a config built in code,
 # with dataclasses.replace or from a mapping is checked the same way.
 
@@ -81,10 +105,19 @@ class ArraySpec:
     spacing_y_wl: float = 0.5
     wavelength_m: float = 0.01
 
+    def __post_init__(self):
+        _check_types(self, "array")
+        if self.m_x < 1 or self.m_y < 1:
+            raise ConfigError(f"array.m_x and m_y must be >= 1, got {self.m_x}x{self.m_y}")
+        if not (self.spacing_x_wl > 0 and self.spacing_y_wl > 0):
+            raise ConfigError("array spacings must be positive")
+        if not self.wavelength_m > 0:
+            raise ConfigError("array.wavelength_m must be positive")
+
     def build(self, n_rf: int) -> ArrayConfig:
         return ArrayConfig(
-            m_x=int(self.m_x),
-            m_y=int(self.m_y),
+            m_x=self.m_x,
+            m_y=self.m_y,
             d_x=self.spacing_x_wl * self.wavelength_m,
             d_y=self.spacing_y_wl * self.wavelength_m,
             wavelength=self.wavelength_m,
@@ -100,10 +133,13 @@ class PlatformSpec:
     mounting_deg: tuple = (0.0, 0.0, 0.0)  # yaw, pitch, roll offset
 
     def __post_init__(self):
+        _check_types(self, "hap")
         m = self.mounting_deg
-        if not isinstance(m, (list, tuple)) or len(m) != 3:
-            raise ConfigError("hap.mounting_deg must be [yaw, pitch, roll]")
+        if not isinstance(m, (list, tuple)) or len(m) != 3 or not all(map(_is_number, m)):
+            raise ConfigError("hap.mounting_deg must be [yaw, pitch, roll] in degrees")
         object.__setattr__(self, "mounting_deg", tuple(float(v) for v in m))
+        if not self.altitude_m > 0:
+            raise ConfigError(f"hap.altitude_m must be positive, got {self.altitude_m}")
 
     @property
     def position(self) -> np.ndarray:
@@ -121,13 +157,14 @@ class UserSpec:
     disc_radius_m: float = 20e3
 
     def __post_init__(self):
+        _check_types(self, "users")
         if self.layout not in USER_LAYOUTS:
             raise ConfigError(
                 f"users.layout must be one of {USER_LAYOUTS}, got {self.layout!r}"
             )
         if self.count < 1:
             raise ConfigError("users.count must be >= 1")
-        if self.disc_radius_m <= 0:
+        if not self.disc_radius_m > 0:
             raise ConfigError("users.disc_radius_m must be positive")
 
 
@@ -139,6 +176,7 @@ class ChannelSpec:
     bandwidth_hz: float = 1.0
 
     def __post_init__(self):
+        _check_types(self, "channel")
         if self.preset not in CHANNEL_PRESETS:
             raise ConfigError(
                 f"channel.preset must be one of {tuple(CHANNEL_PRESETS)}, "
@@ -146,6 +184,8 @@ class ChannelSpec:
             )
         if self.beta_mode not in ("fspl", "normalized"):
             raise ConfigError("channel.beta_mode must be 'fspl' or 'normalized'")
+        if not (self.noise_power_w > 0 and self.bandwidth_hz > 0):
+            raise ConfigError("channel.noise_power_w and bandwidth_hz must be positive")
 
 
 @dataclass(frozen=True)
@@ -153,6 +193,13 @@ class QosSpec:
     r_min: float = 1.6  # per-user rate floor, bit/s per hertz of bandwidth
     p_max_w: float = 10.0
     circuit_power_w: float = 1.0
+
+    def __post_init__(self):
+        _check_types(self, "qos")
+        if not self.p_max_w > 0:
+            raise ConfigError(f"qos.p_max_w must be positive, got {self.p_max_w}")
+        if not (self.r_min >= 0 and self.circuit_power_w >= 0):
+            raise ConfigError("qos.r_min and circuit_power_w must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -163,9 +210,10 @@ class HorizonSpec:
     l_win: int = 192
 
     def __post_init__(self):
+        _check_types(self, "horizon")
         if not 0 <= self.delay < self.h_pred:
             raise ConfigError("horizon must satisfy 0 <= delay < h_pred")
-        if self.dt_s <= 0 or self.l_win < 2:
+        if not self.dt_s > 0 or self.l_win < 2:
             raise ConfigError("horizon.dt_s must be positive and l_win >= 2")
 
 
@@ -176,6 +224,7 @@ class ForecastSpec:
     path: str = ""  # external replay CSV
 
     def __post_init__(self):
+        _check_types(self, "forecaster")
         if self.kind not in FORECASTER_KINDS:
             raise ConfigError(
                 f"forecaster.kind must be one of {FORECASTER_KINDS}, got {self.kind!r}"
@@ -194,6 +243,7 @@ class AdmissionSpec:
     n_ref: int = 10
 
     def __post_init__(self):
+        _check_types(self, "admission")
         if self.priority not in ADMISSION_PRIORITIES:
             raise ConfigError(
                 f"admission.priority must be one of {ADMISSION_PRIORITIES}, "
@@ -201,6 +251,10 @@ class AdmissionSpec:
             )
         if self.objective not in OBJECTIVES:
             raise ConfigError(f"admission.objective must be one of {OBJECTIVES}")
+        if self.k_min < 1 or self.n_ref < 0:
+            raise ConfigError(
+                f"admission needs k_min >= 1 and n_ref >= 0, got {self.k_min}, {self.n_ref}"
+            )
 
 
 @dataclass(frozen=True)
@@ -208,15 +262,13 @@ class CalibrationSpec:
     rho: float = 0.1
     epsilon: float = 0.3  # tolerated worst-case beamforming-gain loss
     box_halfwidth_deg: float = 3.0  # steering box half-width for the curvature bound
-    grid: int = 9
 
     def __post_init__(self):
+        _check_types(self, "calibration")
         if not 0 < self.rho < 1:
-            raise ConfigError("calibration.rho must lie in (0, 1)")
-        if self.epsilon <= 0 or self.box_halfwidth_deg <= 0:
+            raise ConfigError(f"calibration.rho must lie in (0, 1), got {self.rho}")
+        if not (self.epsilon > 0 and self.box_halfwidth_deg > 0):
             raise ConfigError("calibration epsilon and box half-width must be positive")
-        if self.grid < 2:
-            raise ConfigError(f"calibration.grid must be >= 2, got {self.grid}")
 
 
 @dataclass(frozen=True)
@@ -227,8 +279,7 @@ class SeedSpec:
     admission: int = 4
 
     def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, int(getattr(self, f.name)))
+        _check_types(self, "seeds")
 
 
 @dataclass(frozen=True)
@@ -247,12 +298,12 @@ class ScenarioConfig:
     snapshots: int = 200
 
     def __post_init__(self):
+        _check_types(self, "")
         if self.compensation not in COMPENSATION_MODES:
             raise ConfigError(
                 f"compensation must be one of {COMPENSATION_MODES}, "
                 f"got {self.compensation!r}"
             )
-        object.__setattr__(self, "snapshots", int(self.snapshots))
         if self.snapshots < 1:
             raise ConfigError("snapshots must be >= 1")
         horizon, fc = self.horizon, self.forecaster
@@ -528,11 +579,8 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
             H = synthesize_channel(cfg, geom, R_truth, params, rng)
             h_eff = effective_channel(H, A)
 
-            l2 = np.empty(K)
-            for k in range(K):
-                theta, phi = los_to_body_angles(geom.los_unit[k], R_beam)
-                box = AngleBox.around(theta, phi, half)
-                l2[k] = spectral_bound_l2(cfg, box, config.calibration.grid)
+            theta, phi = los_to_body_angles(geom.los_unit, R_beam)
+            l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, half))
             certified = certify_users(
                 l2, report.delta_omega, config.calibration.epsilon
             )

@@ -76,6 +76,48 @@ class TestAnalogSchedule:
         assert A.shape == (64, 3)
         assert np.max(np.abs(np.abs(A) ** 2 - 1 / 64)) <= 1e-15
 
+    @pytest.mark.parametrize("pitch_deg", [0.0, 90.0, -90.0])
+    def test_batched_angles_and_steering_match_per_user_loop(self, pitch_deg):
+        # reference: the one-user formulas, one user at a time
+        def angles_ref(e, R):
+            u = R.T @ e
+            theta = float(np.arccos(np.clip(u[2], -1.0, 1.0)))
+            phi = float(np.arctan2(u[1], u[0]))
+            return theta, (np.pi if phi == -np.pi else phi)
+
+        def steering_ref(cfg, theta, phi):
+            sx = np.sin(theta) * np.cos(phi)
+            sy = np.sin(theta) * np.sin(phi)
+            k0 = 2.0 * np.pi / cfg.wavelength
+            px = k0 * cfg.d_x * sx * np.arange(cfg.m_x)
+            py = k0 * cfg.d_y * sy * np.arange(cfg.m_y)
+            phase = py[:, None] + px[None, :]
+            return np.exp(1j * phase).ravel() / np.sqrt(cfg.num_elements)
+
+        rng = np.random.default_rng(53)
+        mounting = euler_to_rotation(EulerZYX(0.0, np.deg2rad(pitch_deg), 0.0))
+        for _ in range(100):
+            K = int(rng.integers(1, 13))
+            geom = WorldGeometry.build(
+                [0, 0, 20e3],
+                np.column_stack([rng.uniform(-20e3, 20e3, (K, 2)), np.zeros(K)]),
+            )
+            cfg = ArrayConfig(
+                int(rng.integers(1, 17)), int(rng.integers(1, 17)),
+                0.005 * rng.uniform(0.6, 1.4), 0.005 * rng.uniform(0.6, 1.4), 0.01, K,
+            )
+            att = EulerZYX(*rng.uniform(-np.pi, np.pi, 3))
+            R = euler_to_rotation(att) @ mounting
+            theta, phi = los_to_body_angles(geom.los_unit, R)
+            ref = [angles_ref(e, R) for e in geom.los_unit]
+            assert np.array_equal(theta, [t for t, _ in ref])
+            assert np.array_equal(phi, [p for _, p in ref])
+            assert [los_to_body_angles(e, R) for e in geom.los_unit] == ref
+            want = np.column_stack([steering_ref(cfg, t, p) for t, p in ref])
+            assert np.array_equal(steering_vector(cfg, theta, phi), want)
+            A = analog_beamformer_at(cfg, geom, R)
+            assert np.array_equal(A, want) and A.flags.c_contiguous
+
     def test_chain_count_mismatch_rejected(self):
         geom = self.geom(3)
         cfg = ArrayConfig(8, 8, 0.005, 0.005, 0.01, 4)
@@ -201,6 +243,42 @@ class TestCertificates:
                 l2 = spectral_bound_l2(cfg, AngleBox.around(th, ph, 0.0))
                 want = np.linalg.eigvalsh(detune_q_matrix(cfg, th, ph))[-1]
                 assert l2 == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            ArrayConfig(16, 8, 0.005, 0.005, 0.01, 1),
+            ArrayConfig(12, 8, 0.005, 0.005, 0.01, 1),
+            ArrayConfig(8, 5, 0.004, 0.006, 0.01, 1),
+        ],
+        ids=["16x8", "12x8", "8x5"],
+    )
+    def test_closed_form_bound_sound_off_grid(self, cfg):
+        # uniform random interior points, not lattice points, of 3 deg boxes
+        # straddling theta = 0, phi = +-pi and the extremes of sin^2(theta),
+        # sin^2(phi) and |sin(2 phi)|, and of wider random boxes
+        rng = np.random.default_rng(47)
+        centers = [(0.0, 0.3), (0.01, -2.0), (np.pi / 2, 0.0), (0.4, np.pi),
+                   (1.1, -np.pi), (np.pi, 1.0), (np.pi / 2, np.pi / 4),
+                   (0.6, np.pi / 2), (0.6, -np.pi / 2), (np.pi / 2, -3 * np.pi / 4)]
+        half = [np.deg2rad(3.0)] * len(centers)
+        for _ in range(14):
+            centers.append((rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)))
+            half.append(rng.uniform(0.0, 0.5))
+        th0, ph0 = np.array(centers).T
+        l2 = spectral_bound_l2(cfg, AngleBox.around(th0, ph0, np.array(half)))
+        cx, cy = taper_constants(cfg)
+        cap = max(cx * (cfg.d_x / cfg.wavelength) ** 2, cy * (cfg.d_y / cfg.wavelength) ** 2)
+        assert np.all(l2 <= cap)
+        # the bound is not the trivial cap where the curvature is lower
+        assert l2[2] < 0.9 * cap
+        rtol = 64 * np.finfo(float).eps
+        for k, ((t, p), h) in enumerate(zip(centers, half)):
+            assert l2[k] == spectral_bound_l2(cfg, AngleBox.around(t, p, h))
+            th = rng.uniform(t - h, t + h, 500)
+            ph = rng.uniform(p - h, p + h, 500)
+            Q = np.stack([detune_q_matrix(cfg, a, b) for a, b in zip(th, ph)])
+            assert np.all(np.linalg.eigvalsh(Q)[:, -1] <= l2[k] * (1 + rtol))
 
     def test_spectral_bound_dominates_interior_points(self):
         cfg = cfg12(1)

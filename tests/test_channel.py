@@ -109,6 +109,30 @@ class TestAttitudeForms:
         A_r = analog_beamformer_at(cfg, geom, R)
         assert A_e.tobytes() == A_r.tobytes()
 
+    def test_matches_per_user_loop(self):
+        # reference: the channel built one user at a time from the steering
+        # columns, which the batched synthesis must reproduce bit for bit
+        rng = np.random.default_rng(29)
+        for kappa in (np.inf, 10.0, 0.0, rng.uniform(0.3, 30.0, 6)):
+            cfg, geom = small_scene(k=6, mx=9, my=7)
+            params = ChannelParams.build(
+                kappa, fspl_gain(cfg.wavelength, geom.distance), 1e-13, 1.0, 6
+            )
+            att = EulerZYX(*rng.uniform(-0.3, 0.3, 3))
+            H = synthesize_channel(cfg, geom, att, params, np.random.default_rng(3))
+            A = analog_beamformer_at(cfg, geom, att)
+            draw = np.random.default_rng(3)
+            M, K = A.shape
+            noise = draw.standard_normal((M, K)) + 1j * draw.standard_normal((M, K))
+            for k in range(K):
+                pure = np.isinf(params.kappa[k])
+                w_los = 1.0 if pure else np.sqrt(params.kappa[k] / (params.kappa[k] + 1.0))
+                w_nlos = 0.0 if pure else np.sqrt(1.0 / (params.kappa[k] + 1.0))
+                phase = np.exp(-1j * 2.0 * np.pi * geom.distance[k] / cfg.wavelength)
+                h_los = np.sqrt(params.beta[k] * M) * A[:, k] * phase
+                h_nlos = np.sqrt(params.beta[k] / 2.0) * noise[:, k]
+                assert np.array_equal(H[:, k], w_los * h_los + w_nlos * h_nlos)
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -116,6 +116,29 @@ class TestAutoregressive:
         err = np.abs(fc.wrap_pi(out.angles[:, 0] - truth))
         assert np.max(err) <= 0.005
 
+    @pytest.mark.parametrize("order,h_pred", [(24, 12), (8, 5), (3, 1), (1, 3)])
+    def test_fit_matches_column_stack_and_list_recursion(self, order, h_pred):
+        # reference: the lag matrix built column by column and the forward
+        # recursion on a list, which the strided fit must reproduce bit for bit
+        def fit_ref(z):
+            mean = z.mean()
+            zc = z - mean
+            L = zc.size
+            X = np.column_stack([zc[order - j : L - j] for j in range(1, order + 1)])
+            coef, *_ = np.linalg.lstsq(X, zc[order:], rcond=None)
+            buf = list(zc[-order:])
+            out = np.empty(h_pred)
+            for i in range(h_pred):
+                out[i] = float(np.dot(coef, buf[::-1]))
+                buf.append(out[i])
+                buf.pop(0)
+            return out + mean
+
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            z = np.cumsum(rng.standard_normal(192)) * 1e-3 + rng.uniform(-1, 1)
+            assert np.array_equal(fc._fit_ar_forecast(z, order, h_pred), fit_ref(z))
+
     def test_order_window_validation(self):
         s = series_from([np.zeros(100), np.zeros(100), np.zeros(100)])
         with pytest.raises(ValueError):

@@ -10,13 +10,16 @@ from hapbeam.cli import main
 from hapbeam.errors import ConfigError, ParseError, UncoveredSlotError
 from hapbeam.forecast import AttitudeSeries, ForecastRequest, forecast_ar, save_forecast_csv
 from hapbeam.geometry import EulerZYX
+import hapbeam.harness as harness
 from hapbeam.harness import (
     AdmissionSpec,
+    ArraySpec,
     CalibrationSpec,
     ChannelSpec,
     ForecastSpec,
     HorizonSpec,
     PlatformSpec,
+    QosSpec,
     ScenarioConfig,
     SeedSpec,
     UserSpec,
@@ -75,7 +78,25 @@ class TestScenarioConfig:
             {"snapshots": 0},
             {"forecaster": {"order": 0}},
             {"horizon": {"l_win": 50}},
-            {"calibration": {"grid": 1}},
+            {"calibration": {"grid": 9}},  # the lattice size is no longer a key
+            {"channel": {"noise_power_w": 0.0}},
+            {"channel": {"bandwidth_hz": -1.0}},
+            {"hap": {"altitude_m": 0.0}},
+            {"qos": {"p_max_w": 0.0}},
+            {"qos": {"r_min": -0.5}},
+            {"admission": {"k_min": 0}},
+            {"admission": {"n_ref": -1}},
+            {"array": {"m_x": 0}},
+            {"array": {"spacing_y_wl": float("nan")}},
+            {"snapshots": "abc"},
+            {"snapshots": 2.5},
+            {"users": {"count": "5"}},
+            {"qos": {"p_max_w": "10"}},
+            {"seeds": {"channel": True}},
+            {"hap": {"mounting_deg": ["a", 0, 0]}},
+            {"calibration": {"epsilon": float("nan")}},  # JSON accepts NaN
+            {"horizon": {"dt_s": float("nan")}},
+            {"users": {"disc_radius_m": float("nan")}},
         ],
     )
     def test_invalid_values(self, raw):
@@ -95,12 +116,19 @@ class TestScenarioConfig:
             lambda: replace(ScenarioConfig(), snapshots=0),
             lambda: ForecastSpec(order=0),
             lambda: replace(ScenarioConfig(), horizon=HorizonSpec(l_win=50)),
-            lambda: CalibrationSpec(grid=1),
             lambda: PlatformSpec(mounting_deg=(0.0, 90.0)),
+            lambda: ChannelSpec(noise_power_w=0.0),
+            lambda: PlatformSpec(altitude_m=-1.0),
+            lambda: QosSpec(p_max_w=0.0),
+            lambda: AdmissionSpec(k_min=0),
+            lambda: AdmissionSpec(n_ref=-1),
+            lambda: ArraySpec(m_y=0),
+            lambda: UserSpec(count="5"),
         ],
         ids=[
             "layout", "preset", "compensation", "priority", "kind", "delay",
-            "rho", "snapshots", "order", "l_win", "grid", "mounting",
+            "rho", "snapshots", "order", "l_win", "mounting", "noise_power",
+            "altitude", "p_max", "k_min", "n_ref", "array", "count_type",
         ],
     )
     def test_invalid_values_built_directly(self, build):
@@ -250,6 +278,23 @@ class TestRunExperiment:
                 assert a.snapshots[name] == b.snapshots[name]
             else:
                 assert np.array_equal(a.snapshots[name], b.snapshots[name]), name
+
+    def test_one_solve_and_one_batched_bound_per_snapshot(self, monkeypatch):
+        calls = {"solve_snapshot": 0, "spectral_bound_l2": 0}
+
+        def counted(name):
+            fn = getattr(harness, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(harness, name, counted(name))
+        run_experiment(ScenarioConfig.from_dict({**FAST, "snapshots": 5}))
+        assert calls == {"solve_snapshot": 5, "spectral_bound_l2": 5}
 
     def test_aggregate_means_match_columns(self):
         res = run_experiment(ScenarioConfig.from_dict(dict(FAST)))
@@ -516,6 +561,25 @@ class TestCli:
         # the message names the flags and values as typed, not config fields
         for flag, value in zip(bad[::2], bad[1::2]):
             assert flag in err and value in err, err
+
+    def test_bad_rho_exit_2_before_loading(self, tmp_path, capsys):
+        # a missing telemetry file would exit 3: --rho is checked first
+        code = self.run_cli(
+            "calibrate", "--telemetry", str(tmp_path / "nope.csv"),
+            "--out", str(tmp_path / "c.txt"), "--rho", "1.5",
+        )
+        assert code == 2
+        assert "--rho 1.5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw", [{"snapshots": "abc"}, {"users": {"count": "5"}}], ids=["snapshots", "count"]
+    )
+    def test_wrong_type_config_exit_2(self, tmp_path, capsys, raw):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(raw))
+        assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be an integer" in err
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert self.run_cli(
