@@ -22,7 +22,6 @@ from .calibration import (
     calibrate,
     conformal_radius,
     coverage_check,
-    residual_moments,
     target_window_max,
     window_residuals,
 )
@@ -62,7 +61,6 @@ from .geometry import (
     WorldGeometry,
     euler_to_rotation,
     los_to_body_angles,
-    rotation_angle,
     rotation_exp,
     rotation_log_vee,
     rotation_to_euler,

@@ -233,7 +233,7 @@ def _sin2_range(lo, hi) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def spectral_bound_l2(cfg: ArrayConfig, box: AngleBox, grid=None):
+def spectral_bound_l2(cfg: ArrayConfig, box: AngleBox):
     """Worst-case curvature L^2 >= lambda_max(Q) at every operating point of
     the steering box, in closed form; one value per box element.
 
@@ -246,8 +246,7 @@ def spectral_bound_l2(cfg: ArrayConfig, box: AngleBox, grid=None):
     |r|, taken from u_x^2 = sin^2(theta) cos^2(phi), u_y^2 = sin^2(theta)
     sin^2(phi) and |u_x u_y| = sin^2(theta) |sin(2 phi)| / 2.  The bound is
     exact on one-point boxes and is capped at max(a, b), which dominates
-    lambda_max(Q) in every direction.  ``grid`` is unused and kept for
-    callers that pass a lattice size.
+    lambda_max(Q) in every direction.
     """
     cx, cy = taper_constants(cfg)
     a = cx * (cfg.d_x / cfg.wavelength) ** 2

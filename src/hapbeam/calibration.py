@@ -64,19 +64,6 @@ def conformal_radius(scores, rho: float) -> float:
     return float(z[min(idx, n) - 1])
 
 
-def residual_moments(pooled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sample mean and unbiased covariance of pooled residuals (N, 3)."""
-    pooled = np.atleast_2d(np.asarray(pooled, dtype=float))
-    if pooled.shape[0] < 2:
-        raise DataError(
-            f"need at least 2 residuals for an unbiased covariance, got {pooled.shape[0]}"
-        )
-    mu = pooled.mean(axis=0)
-    dev = pooled - mu
-    sigma = dev.T @ dev / (pooled.shape[0] - 1)
-    return mu, sigma
-
-
 def coverage_check(scores, delta_omega: float) -> float:
     """Fraction of held-out scores within the calibrated radius."""
     z = np.asarray(scores, dtype=float)
@@ -85,31 +72,25 @@ def coverage_check(scores, delta_omega: float) -> float:
     return float(np.mean(z <= delta_omega))
 
 
-REPORT_KEYS = ("delta_omega_rad", "rho", "n", "mu_omega", "sigma_omega", "d", "h_pred")
+REPORT_KEYS = ("delta_omega_rad", "rho", "n", "d", "h_pred")
 
 
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Calibrated pointing-error statistics plus the protocol parameters."""
+    """Calibrated pointing-error radius plus the protocol parameters."""
 
     delta_omega: float  # rad
     rho: float
     n: int  # number of calibration origins
-    mu_omega: np.ndarray  # (3,)
-    sigma_omega: np.ndarray  # (3, 3)
     d: int
     h_pred: int
     scores: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def save(self, path) -> None:
-        mu = " ".join(repr(float(v)) for v in self.mu_omega)
-        sg = " ".join(repr(float(v)) for v in np.asarray(self.sigma_omega).ravel())
         lines = [
             f"delta_omega_rad = {self.delta_omega!r}",
             f"rho = {self.rho!r}",
             f"n = {self.n}",
-            f"mu_omega = {mu}",
-            f"sigma_omega = {sg}",
             f"d = {self.d}",
             f"h_pred = {self.h_pred}",
         ]
@@ -137,14 +118,10 @@ class CalibrationReport:
         if missing:
             raise ParseError(f"missing keys: {sorted(missing)}")
         try:
-            mu = np.array([float(v) for v in kv["mu_omega"].split()])
-            sigma = np.array([float(v) for v in kv["sigma_omega"].split()]).reshape(3, 3)
             return cls(
                 delta_omega=float(kv["delta_omega_rad"]),
                 rho=float(kv["rho"]),
                 n=int(kv["n"]),
-                mu_omega=mu,
-                sigma_omega=sigma,
                 d=int(kv["d"]),
                 h_pred=int(kv["h_pred"]),
             )
@@ -160,25 +137,19 @@ def calibrate(
 ) -> CalibrationReport:
     """Full offline calibration from forecasts and realized telemetry.
 
-    Computes per-origin target-window scores, the conformal radius at
-    miscoverage rho, and pooled first/second residual moments.
+    Computes per-origin target-window scores and the conformal radius at
+    miscoverage rho.
     """
     if not outputs:
         raise DataError("no forecast origins to calibrate on")
     h_pred = outputs[0].angles.shape[0]
     scores = np.empty(len(outputs))
-    pooled = []
     for i, out in enumerate(outputs):
-        res = window_residuals(series, out, d)
-        scores[i] = target_window_max(res)
-        pooled.append(res)
-    mu, sigma = residual_moments(np.concatenate(pooled, axis=0))
+        scores[i] = target_window_max(window_residuals(series, out, d))
     return CalibrationReport(
         delta_omega=conformal_radius(scores, rho),
         rho=rho,
         n=len(outputs),
-        mu_omega=mu,
-        sigma_omega=sigma,
         d=d,
         h_pred=h_pred,
         scores=scores,

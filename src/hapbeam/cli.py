@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen-telemetry, forecast-eval, calibrate, run, sweep.  Exit
-codes: 0 success, 2 configuration error, 3 data error, 4 internal
-invariant violation.
+codes: 0 success, 2 configuration error, 3 data or file I/O error, 4
+internal invariant violation.
 """
 
 import argparse
@@ -69,6 +69,10 @@ def _issue_all(args):
 
 
 def cmd_gen_telemetry(args) -> int:
+    try:
+        HorizonSpec(dt_s=args.dt)
+    except ConfigError as exc:
+        raise ConfigError(f"--dt {args.dt}: {exc}") from None
     series = generate_attitude_series(
         args.seed, args.length, args.dt,
         amplitude_scale=args.amplitude_scale, noise_scale=args.noise_scale,
@@ -235,6 +239,9 @@ def main(argv=None) -> int:
     except HapbeamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ class AttitudeSeries:
 
     @classmethod
     def build(cls, dt: float, samples) -> "AttitudeSeries":
-        if dt <= 0:
+        if not dt > 0:
             raise ValueError(f"slot duration must be positive, got {dt}")
         s = np.array(samples, dtype=float)
         if s.ndim != 2 or s.shape[1] != 3:

@@ -106,13 +106,6 @@ def rotation_exp(omega) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def rotation_angle(R_hat: np.ndarray, R: np.ndarray) -> float:
-    """Geodesic angle between two rotations, in [0, pi]."""
-    E = R_hat.T @ R
-    c = (np.trace(E) - 1.0) / 2.0
-    return float(np.arccos(np.clip(c, -1.0, 1.0)))
-
-
 def rotation_log_vee(R_hat: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Rotation vector vee(log(R_hat^T R)) taking R_hat to R.
 

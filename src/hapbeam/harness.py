@@ -651,6 +651,10 @@ def sweep(base: dict, axes: dict) -> list:
     """Cross product of config overrides.  `axes` maps dotted config paths
     (for example users.count) to value lists; cells are enumerated in sorted
     key order and returned as (overrides, RunResult) pairs."""
+    if not isinstance(base, dict):
+        raise ConfigError(f"sweep base must be a mapping, got {type(base).__name__}")
+    if not isinstance(axes, dict):
+        raise ConfigError(f"sweep axes must be a mapping, got {type(axes).__name__}")
     if not axes:
         raise ConfigError("sweep needs at least one axis")
     names = sorted(axes)

@@ -140,7 +140,7 @@ def test_criterion_04_curvature_bound_monte_carlo():
     violations = 0
     for theta0, phi0 in [(0.15, 0.3), (0.5, -1.2), (0.9, 2.0)]:
         box = AngleBox.around(theta0, phi0, np.deg2rad(3.0))
-        l2 = spectral_bound_l2(cfg, box, grid)
+        l2 = spectral_bound_l2(cfg, box)
         delta = 0.02
         thetas = np.linspace(box.theta_lo, box.theta_hi, grid)
         phis = np.linspace(box.phi_lo, box.phi_hi, grid)

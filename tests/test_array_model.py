@@ -283,7 +283,7 @@ class TestCertificates:
     def test_spectral_bound_dominates_interior_points(self):
         cfg = cfg12(1)
         box = AngleBox.around(np.pi - 0.15, 0.4, np.deg2rad(3.0))
-        l2 = spectral_bound_l2(cfg, box, grid=33)
+        l2 = spectral_bound_l2(cfg, box)
         rng = np.random.default_rng(43)
         grid_t = np.linspace(box.theta_lo, box.theta_hi, 33)
         grid_p = np.linspace(box.phi_lo, box.phi_hi, 33)

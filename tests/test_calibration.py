@@ -8,7 +8,6 @@ from hapbeam.calibration import (
     calibrate,
     conformal_radius,
     coverage_check,
-    residual_moments,
     target_window_max,
     window_residuals,
 )
@@ -99,43 +98,9 @@ class TestConformal:
             coverage_check([], 1.0)
 
 
-class TestMoments:
-    def test_two_point_covariance(self):
-        a = 0.02
-        mu, sigma = residual_moments(np.array([[a, 0, 0], [-a, 0, 0]]))
-        np.testing.assert_allclose(mu, 0.0, atol=1e-18)
-        # unbiased n-1 divisor: sum of squared deviations 2 a^2 over 1
-        assert sigma[0, 0] == pytest.approx(2 * a**2)
-        np.testing.assert_allclose(sigma[1:, 1:], 0.0, atol=1e-18)
-
-    def test_single_sample_rejected(self):
-        with pytest.raises(DataError):
-            residual_moments(np.array([[1.0, 0, 0]]))
-
-    def test_matches_numpy_cov(self):
-        rng = np.random.default_rng(17)
-        x = rng.normal(size=(500, 3))
-        mu, sigma = residual_moments(x)
-        np.testing.assert_allclose(mu, x.mean(axis=0))
-        np.testing.assert_allclose(sigma, np.cov(x.T, ddof=1), atol=1e-12)
-        w = np.linalg.eigvalsh(sigma)
-        assert w[0] >= -1e-12
-
-
 class TestReport:
     def make_report(self):
-        rng = np.random.default_rng(23)
-        x = rng.normal(0, 0.01, size=(100, 3))
-        mu, sigma = residual_moments(x)
-        return CalibrationReport(
-            delta_omega=0.0123456789,
-            rho=0.1,
-            n=100,
-            mu_omega=mu,
-            sigma_omega=sigma,
-            d=6,
-            h_pred=12,
-        )
+        return CalibrationReport(delta_omega=0.0123456789, rho=0.1, n=100, d=6, h_pred=12)
 
     def test_save_load_round_trip(self, tmp_path):
         rep = self.make_report()
@@ -147,8 +112,19 @@ class TestReport:
         assert got.n == rep.n
         assert got.d == rep.d
         assert got.h_pred == rep.h_pred
-        np.testing.assert_array_equal(got.mu_omega, rep.mu_omega)
-        np.testing.assert_array_equal(got.sigma_omega, rep.sigma_omega)
+
+    def test_saved_keys_are_the_radius_and_protocol(self, tmp_path):
+        p = tmp_path / "calibration.txt"
+        self.make_report().save(p)
+        keys = [line.partition("=")[0].strip() for line in p.read_text().splitlines()]
+        assert keys == ["delta_omega_rad", "rho", "n", "d", "h_pred"]
+
+    def test_old_moment_key_rejected(self, tmp_path):
+        p = tmp_path / "c.txt"
+        self.make_report().save(p)
+        p.write_text(p.read_text() + "mu_omega = 0.0 0.0 0.0\n")
+        with pytest.raises(ParseError, match="unknown key 'mu_omega'"):
+            CalibrationReport.load(p)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.txt"

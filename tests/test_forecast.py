@@ -35,6 +35,11 @@ class TestRequest:
         with pytest.raises(ValueError):
             ForecastRequest(10, 64, 12, -1)
 
+    @pytest.mark.parametrize("dt", [0.0, -1.0, float("nan")])
+    def test_series_rejects_non_positive_dt(self, dt):
+        with pytest.raises(ValueError, match="slot duration"):
+            AttitudeSeries.build(dt, np.zeros((4, 3)))
+
     def test_window_outside_series(self):
         s = series_from([np.zeros(50), np.zeros(50), np.zeros(50)])
         with pytest.raises(DataError):

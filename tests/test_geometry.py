@@ -10,7 +10,6 @@ from hapbeam.geometry import (
     ensure_rotation,
     euler_to_rotation,
     los_to_body_angles,
-    rotation_angle,
     rotation_exp,
     rotation_log_vee,
     rotation_to_euler,
@@ -122,12 +121,6 @@ class TestLogVee:
         with pytest.raises(AmbiguousAxisError) as ei:
             rotation_log_vee(np.eye(3), R)
         assert ei.value.angle == pytest.approx(np.pi, abs=1e-6)
-
-    def test_angle_matches_norm_of_log(self):
-        R_hat = euler_to_rotation(EulerZYX(0.2, -0.3, 0.15))
-        ω = np.array([0.3, -0.1, 0.25])
-        R = R_hat @ rotation_exp(ω)
-        assert rotation_angle(R_hat, R) == pytest.approx(np.linalg.norm(ω), abs=1e-12)
 
 
 class TestWrap:

@@ -414,6 +414,13 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep({}, {"users.count": []})
 
+    @pytest.mark.parametrize(
+        "base, axes", [([], {"users.count": [8]}), ({}, [1])], ids=["base", "axes"]
+    )
+    def test_non_mapping_section_rejected(self, base, axes):
+        with pytest.raises(ConfigError, match="must be a mapping"):
+            sweep(base, axes)
+
 
 class TestIo:
     def test_telemetry_round_trip_bit_exact(self, tmp_path):
@@ -616,3 +623,47 @@ class TestCli:
         scen = tmp_path / "sweep.json"
         scen.write_text(json.dumps({"axes": {"compensation": ["ideal"]}, "extra": 1}))
         assert self.run_cli("sweep", "--config", str(scen), "--out", str(tmp_path / "o")) == 2
+
+    @pytest.mark.parametrize(
+        "raw",
+        [{"base": [], "axes": {"users.count": [8]}}, {"axes": [1]}],
+        ids=["base", "axes"],
+    )
+    def test_sweep_non_mapping_section_exit_2(self, tmp_path, capsys, raw):
+        scen = tmp_path / "sweep.json"
+        scen.write_text(json.dumps(raw))
+        assert self.run_cli("sweep", "--config", str(scen), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith("error: sweep")
+
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan"])
+    def test_bad_dt_exit_2(self, tmp_path, capsys, dt):
+        tel = tmp_path / "tel.csv"
+        assert self.run_cli("gen-telemetry", "--dt", dt, "--out", str(tel)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --dt {float(dt)}:"), err
+        assert not tel.exists()
+
+    def test_missing_external_forecast_file_exit_3(self, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        missing = tmp_path / "nope.csv"
+        scen.write_text(json.dumps(
+            {**FAST, "forecaster": {"kind": "external", "path": str(missing)}}
+        ))
+        assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["gen-telemetry", "calibrate", "forecast-eval"])
+    def test_out_in_missing_directory_exit_3(self, tmp_path, capsys, command):
+        tel = tmp_path / "tel.csv"
+        save_telemetry_csv(tel, generate_attitude_series(7, 300))
+        out = tmp_path / "missing" / "out.txt"
+        args = ["--out", str(out)]
+        if command != "gen-telemetry":
+            args += ["--telemetry", str(tel), "--l-win", "64", "--order", "4",
+                     "--stride", "50"]
+        assert self.run_cli(command, *args) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(out) in err
+        assert "Traceback" not in err
