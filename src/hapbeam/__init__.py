@@ -70,7 +70,6 @@ from .harness import (
     RunResult,
     ScenarioConfig,
     admission_priority_variant,
-    compensation_attitude,
     generate_attitude_series,
     place_users,
     run_experiment,

@@ -73,6 +73,10 @@ def cmd_gen_telemetry(args) -> int:
         HorizonSpec(dt_s=args.dt)
     except ConfigError as exc:
         raise ConfigError(f"--dt {args.dt}: {exc}") from None
+    for flag, value in (("--amplitude-scale", args.amplitude_scale),
+                        ("--noise-scale", args.noise_scale)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     series = generate_attitude_series(
         args.seed, args.length, args.dt,
         amplitude_scale=args.amplitude_scale, noise_scale=args.noise_scale,

@@ -1,10 +1,10 @@
 """Scenario orchestration for the downlink simulator.
 
 Generates a synthetic platform-attitude process, places ground users,
-calibrates the pointing-residual bound on a validation split, then walks
-test-slot snapshots: forecast the attitude, build the analog stage for the
-selected compensation mode, synthesize the true-attitude channel, solve the
-per-slot digital problem, and aggregate.  Snapshot evaluations use
+calibrates the pointing-residual bound of the compensation mode's attitude
+estimate on a validation split, then walks test-slot snapshots: steer the
+analog stage by that estimate, synthesize the true-attitude channel, solve
+the per-slot digital problem, and aggregate.  Snapshot evaluations use
 per-snapshot RNG substreams derived from (master seed, snapshot index), so
 the map is order-independent and bit-reproducible; this implementation
 runs it as an ordered serial loop.
@@ -32,6 +32,7 @@ from .errors import ConfigError, HapbeamError, InvariantError, UncoveredSlotErro
 from .forecast import (
     AttitudeSeries,
     ForecastErrorReport,
+    ForecastOutput,
     ForecastRequest,
     forecast_ar,
     forecast_errors,
@@ -70,25 +71,26 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+def _is_finite(value) -> bool:
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return real and -math.inf < value < math.inf  # False for NaN
 
 
 def _check_types(spec, where: str) -> None:
     """Raise ConfigError naming the first int, float or str field of `spec`
-    whose value has another type; an int field takes any integral number
-    and stores it as an int."""
+    whose value has another type (a float field must also be finite); an
+    int field takes any integral number and stores it as an int."""
     for f in fields(spec):
         value = getattr(spec, f.name)
         name = f"{where}.{f.name}" if where else f.name
         if f.type is int:
-            if not _is_number(value) or not (
+            if not _is_finite(value) or not (
                 isinstance(value, numbers.Integral) or float(value).is_integer()
             ):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(spec, f.name, int(value))
-        elif f.type is float and not _is_number(value):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
+        elif f.type is float and not _is_finite(value):
+            raise ConfigError(f"{name} must be a finite number, got {value!r}")
         elif f.type is str and not isinstance(value, str):
             raise ConfigError(f"{name} must be a string, got {value!r}")
 
@@ -135,8 +137,8 @@ class PlatformSpec:
     def __post_init__(self):
         _check_types(self, "hap")
         m = self.mounting_deg
-        if not isinstance(m, (list, tuple)) or len(m) != 3 or not all(map(_is_number, m)):
-            raise ConfigError("hap.mounting_deg must be [yaw, pitch, roll] in degrees")
+        if not isinstance(m, (list, tuple)) or len(m) != 3 or not all(map(_is_finite, m)):
+            raise ConfigError("hap.mounting_deg must be [yaw, pitch, roll] in finite degrees")
         object.__setattr__(self, "mounting_deg", tuple(float(v) for v in m))
         if not self.altitude_m > 0:
             raise ConfigError(f"hap.altitude_m must be positive, got {self.altitude_m}")
@@ -213,8 +215,10 @@ class HorizonSpec:
         _check_types(self, "horizon")
         if not 0 <= self.delay < self.h_pred:
             raise ConfigError("horizon must satisfy 0 <= delay < h_pred")
-        if not self.dt_s > 0 or self.l_win < 2:
-            raise ConfigError("horizon.dt_s must be positive and l_win >= 2")
+        if not self.dt_s > 0:
+            raise ConfigError(f"horizon.dt_s must be positive, got {self.dt_s}")
+        if self.l_win < 2:
+            raise ConfigError(f"horizon.l_win must be >= 2, got {self.l_win}")
 
 
 @dataclass(frozen=True)
@@ -411,38 +415,6 @@ def place_users(layout: str, count: int, radius: float, seed: int) -> np.ndarray
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), np.zeros(count)])
 
 
-def compensation_attitude(
-    mode: str,
-    series: AttitudeSeries,
-    forecasts: dict,
-    slot: int,
-    delay: int,
-) -> EulerZYX:
-    """Attitude estimate the analog stage is built from at slot `slot`.
-
-    none: fixed level nominal.  reactive: newest truth whose processing
-    completes in time, slot - delay - 1.  forecast: the prediction for
-    `slot` issued at that same origin.  ideal: truth at `slot`.
-    """
-    if mode == "none":
-        return EulerZYX.level()
-    if mode == "ideal":
-        return EulerZYX(*series.samples[slot])
-    origin = slot - delay - 1
-    if mode == "reactive":
-        if origin < 0:
-            raise UncoveredSlotError(f"slot {slot} has no actuated truth sample")
-        return EulerZYX(*series.samples[origin])
-    if mode == "forecast":
-        out = forecasts.get(origin)
-        if out is None:
-            raise UncoveredSlotError(
-                f"no forecast issued at origin {origin} covers slot {slot}"
-            )
-        return EulerZYX(*out.angles[slot - origin - 1])
-    raise ConfigError(f"unknown compensation mode {mode!r}")
-
-
 def forecaster(kind: str, order: int):
     """Local forecaster of one of the LOCAL_FORECASTERS kinds, as a
     function of (series, request); `order` applies to the AR kind."""
@@ -453,6 +425,26 @@ def forecaster(kind: str, order: int):
     if kind == "ar":
         return partial(forecast_ar, order=order)
     raise ConfigError(f"forecaster kind {kind!r} has no local model")
+
+
+def level_estimate(series: AttitudeSeries, req: ForecastRequest) -> ForecastOutput:
+    """The level nominal attitude at every horizon (mode none)."""
+    return ForecastOutput(req.origin, np.zeros((req.h_pred, 3)), "level")
+
+
+def oracle_estimate(series: AttitudeSeries, req: ForecastRequest) -> ForecastOutput:
+    """The realized attitude at slots origin+1 .. origin+h_pred (mode ideal)."""
+    lo, hi = req.origin + 1, req.origin + req.h_pred + 1
+    if lo < 1 or hi > len(series):
+        raise UncoveredSlotError(f"truth does not cover slots {lo} .. {hi - 1}")
+    return ForecastOutput(req.origin, series.samples[lo:hi], "oracle")
+
+
+# the estimate each mode steers by; only the forecast mode runs the configured
+# forecaster or reads its external replay file
+MODE_SOURCES = {
+    "none": level_estimate, "reactive": forecast_persistence, "ideal": oracle_estimate,
+}
 
 
 def required_series_length(config: ScenarioConfig) -> int:
@@ -514,21 +506,23 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
     cfg = config.array.build(n_rf=K)
     mounting = config.hap.mounting
 
-    if config.forecaster.kind == "external":
-        replay = load_forecast_csv(config.forecaster.path)
-        if replay and len(next(iter(replay.values())).angles) < hz.h_pred:
-            raise ConfigError(
-                "external forecasts are shorter than the configured horizon"
-            )
-        def issue(origin):
-            out = replay.get(origin)
-            if out is None:
-                raise UncoveredSlotError(f"external replay misses origin {origin}")
-            return out
+    fc = config.forecaster
+    if config.compensation in MODE_SOURCES:
+        source = MODE_SOURCES[config.compensation]
+    elif fc.kind != "external":
+        source = forecaster(fc.kind, fc.order)
     else:
-        fn = forecaster(config.forecaster.kind, config.forecaster.order)
-        def issue(origin):
-            return fn(series, ForecastRequest(origin, hz.l_win, hz.h_pred, hz.delay))
+        replay = load_forecast_csv(fc.path)  # never empty
+        if len(next(iter(replay.values())).angles) < hz.h_pred:
+            raise ConfigError("external forecasts are shorter than the configured horizon")
+
+        def source(_series, req):
+            if req.origin not in replay:
+                raise UncoveredSlotError(f"external replay misses origin {req.origin}")
+            return replay[req.origin]
+
+    def issue(origin):
+        return source(series, ForecastRequest(origin, hz.l_win, hz.h_pred, hz.delay))
 
     # calibration on the validation split: every origin whose target window
     # closes before the test region begins
@@ -566,9 +560,7 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
     )}
     for i, slot in enumerate(slots):
         try:
-            beam_att = compensation_attitude(
-                config.compensation, series, forecasts, int(slot), hz.delay
-            )
+            beam_att = EulerZYX(*forecasts[int(slot) - hz.delay - 1].angles[hz.delay])
             R_beam = euler_to_rotation(beam_att) @ mounting
             R_truth = euler_to_rotation(EulerZYX(*series.samples[int(slot)])) @ mounting
             A = analog_beamformer_at(cfg, geom, R_beam)
