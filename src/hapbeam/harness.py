@@ -13,6 +13,7 @@ runs it as an ordered serial loop.
 import itertools
 import math
 import numbers
+import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import partial
@@ -72,8 +73,11 @@ def _check_keys(section: dict, allowed, where: str) -> None:
 
 
 def _is_finite(value) -> bool:
+    """A real number (not a bool) that a float holds: False for NaN, +-inf
+    and an int beyond the float range, which compares finite but does not
+    convert."""
     real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-    return real and -math.inf < value < math.inf  # False for NaN
+    return real and abs(value) <= sys.float_info.max  # False for NaN
 
 
 def _check_types(spec, where: str) -> None:
@@ -84,9 +88,8 @@ def _check_types(spec, where: str) -> None:
         value = getattr(spec, f.name)
         name = f"{where}.{f.name}" if where else f.name
         if f.type is int:
-            if not _is_finite(value) or not (
-                isinstance(value, numbers.Integral) or float(value).is_integer()
-            ):
+            integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            if not (integral or _is_finite(value) and float(value).is_integer()):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(spec, f.name, int(value))
         elif f.type is float and not _is_finite(value):

@@ -9,7 +9,9 @@ error is certified.  The solve pipeline:
    at a matched-filter equal-power initialization;
 2. the digital beamformer is rebuilt in closed form from those scalars and
    one eigendecomposition per admitted set, with the power constraint met by
-   a bisected dual variable and a final exact scaling projection;
+   a bisected dual variable and a final exact scaling projection; each
+   trial dual reads its power from a small per-set quadratic form in the
+   eigenbasis, so the beamformer itself is built once, at the chosen dual;
 3. strict repair drops the worst-violating admitted user until every
    admitted rate clears its floor, then adds back any certified user that
    fits without breaking feasibility;
@@ -21,6 +23,7 @@ The output is feasible by construction: transmit power within budget and
 every admitted rate at or above its floor, with no exceptions.
 """
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,14 +74,20 @@ class SnapshotProblem:
         h_eff = np.asarray(h_eff, dtype=complex)
         if h_eff.ndim != 2:
             raise ConfigError(f"h_eff must be (K, N_RF), got shape {h_eff.shape}")
+        if not np.all(np.isfinite(h_eff)):
+            raise ConfigError("h_eff must be finite")
         K = h_eff.shape[0]
         r_min = np.broadcast_to(np.asarray(r_min, dtype=float), (K,)).copy()
-        if np.any(r_min < 0):
-            raise ConfigError("rate floors must be >= 0")
-        if p_max <= 0 or noise_power <= 0 or bandwidth <= 0:
-            raise ConfigError("p_max, noise_power, bandwidth must be positive")
-        if circuit_power < 0:
-            raise ConfigError("circuit power must be >= 0")
+        if not np.all((r_min >= 0) & (r_min < np.inf)):  # False for NaN
+            raise ConfigError("r_min must be finite and >= 0")
+        # a float max bound (False for NaN) also holds out ints float() cannot take
+        for name, value in (
+            ("p_max", p_max), ("noise_power", noise_power), ("bandwidth", bandwidth)
+        ):
+            if not 0 < value <= sys.float_info.max:
+                raise ConfigError(f"{name} must be positive and finite, got {value}")
+        if not 0 <= circuit_power <= sys.float_info.max:
+            raise ConfigError(f"circuit_power must be finite and >= 0, got {circuit_power}")
         certified = (
             np.ones(K, dtype=bool)
             if certified is None
@@ -93,6 +102,8 @@ class SnapshotProblem:
                 raise ConfigError(
                     f"analog gram must be ({n}, {n}), got {analog_gram.shape}"
                 )
+            if not np.all(np.isfinite(analog_gram)):
+                raise ConfigError("analog_gram must be finite")
             if np.max(np.abs(analog_gram - analog_gram.conj().T)) > 1e-9 * max(
                 1.0, float(np.max(np.abs(analog_gram)))
             ):
@@ -259,6 +270,32 @@ def kkt_reconstruct(
     return D
 
 
+def kkt_power(problem: SnapshotProblem, eig: tuple):
+    """Transmit power along the dual path, read from the eigenbasis.
+
+    Returns power(shift) = transmit_power(problem, kkt_reconstruct(...,
+    shift, eig)) for the decomposition `eig` of `kkt_decompose`, without
+    building D: with D = U diag(s) Z and s = 1/(lam + shift), the power is
+    s^T P s for the real PSD (N_RF, N_RF) matrix P = Re((U^H G U) o conj(Z
+    Z^H)), G the analog Gram (P = diag(||Z_i||^2) when G is the identity).
+    P is formed once here; each shift then costs one small quadratic form.
+    An empty admitted set (no columns, lam = 0) has power 0 at every shift.
+    """
+    idx, U, lam, Z = eig
+    if not idx.size:
+        return lambda shift: 0.0
+    if problem.analog_gram is None:
+        P = np.diag(np.sum(np.abs(Z) ** 2, axis=1))
+    else:
+        P = ((U.conj().T @ problem.analog_gram @ U) * (Z @ Z.conj().T).conj()).real
+
+    def power(shift: float) -> float:
+        s = 1.0 / (lam + shift)
+        return float(s @ P @ s)
+
+    return power
+
+
 def _rates(problem: SnapshotProblem, D: np.ndarray):
     return sinr_and_rates(problem.h_eff, D, problem.noise_power, problem.bandwidth)
 
@@ -272,19 +309,22 @@ def power_dual_bisection(
     """Smallest-necessary power dual: nu = 0 when the unconstrained
     reconstruction already fits the budget, otherwise geometric growth of
     an upper bracket followed by bisection into [0.99, 1.0] * P_max.
-    `ridge` is a fixed extra shift: each nu is reconstructed at nu + ridge.
+    `ridge` is a fixed extra shift: each nu is evaluated at nu + ridge.
 
-    One eigendecomposition of C serves every nu.  Power is non-increasing
+    One eigendecomposition of C serves every nu, and each trial nu reads
+    its power from the eigenbasis (`kkt_power`); the beamformer is built
+    by `kkt_reconstruct` once, at the chosen nu.  Power is non-increasing
     in nu; every evaluation is recorded and monotonicity asserted per call.
+    Returns (nu, D, number of power evaluations).
     """
     evals: list[tuple[float, float]] = []
     eig = kkt_decompose(problem, admitted, scalars)
+    power = kkt_power(problem, eig)
 
-    def evaluate(nu: float) -> tuple[np.ndarray, float]:
-        D = kkt_reconstruct(problem, admitted, scalars, nu + ridge, eig)
-        p = transmit_power(problem, D)
+    def evaluate(nu: float) -> float:
+        p = power(nu + ridge)
         evals.append((nu, p))
-        return D, p
+        return p
 
     def check_monotone() -> None:
         seq = sorted(evals)
@@ -295,30 +335,29 @@ def power_dual_bisection(
                     f"p({nu_b}) = {p_b}"
                 )
 
-    D0, p0 = evaluate(0.0)
-    if p0 <= problem.p_max:
-        check_monotone()
-        return 0.0, D0, len(evals)
-    nu_lo, nu_hi = 0.0, 1.0
-    D_hi, p_hi = evaluate(nu_hi)
-    for _ in range(MAX_DOUBLINGS):
-        if p_hi <= problem.p_max:
-            break
-        nu_lo, nu_hi = nu_hi, nu_hi * 2.0
-        D_hi, p_hi = evaluate(nu_hi)
-    best_nu, best_D = nu_hi, D_hi
-    if p_hi < POWER_BAND * problem.p_max:
-        for _ in range(MAX_BISECT):
-            mid = 0.5 * (nu_lo + nu_hi)
-            D_mid, p_mid = evaluate(mid)
-            if p_mid > problem.p_max:
-                nu_lo = mid
-            else:
-                nu_hi, best_nu, best_D = mid, mid, D_mid
-                if p_mid >= POWER_BAND * problem.p_max:
-                    break
+    best_nu = 0.0
+    if evaluate(0.0) > problem.p_max:
+        nu_lo, nu_hi = 0.0, 1.0
+        p_hi = evaluate(nu_hi)
+        for _ in range(MAX_DOUBLINGS):
+            if p_hi <= problem.p_max:
+                break
+            nu_lo, nu_hi = nu_hi, nu_hi * 2.0
+            p_hi = evaluate(nu_hi)
+        best_nu = nu_hi
+        if p_hi < POWER_BAND * problem.p_max:
+            for _ in range(MAX_BISECT):
+                mid = 0.5 * (nu_lo + nu_hi)
+                p_mid = evaluate(mid)
+                if p_mid > problem.p_max:
+                    nu_lo = mid
+                else:
+                    nu_hi = best_nu = mid
+                    if p_mid >= POWER_BAND * problem.p_max:
+                        break
     check_monotone()
-    return best_nu, best_D, len(evals)
+    D = kkt_reconstruct(problem, admitted, scalars, best_nu + ridge, eig)
+    return best_nu, D, len(evals)
 
 
 def _solve_projected(problem, admitted, scalars, ridge: float = 0.0):

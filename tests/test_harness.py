@@ -124,11 +124,14 @@ class TestScenarioConfig:
             lambda: AdmissionSpec(n_ref=-1),
             lambda: ArraySpec(m_y=0),
             lambda: UserSpec(count="5"),
+            lambda: QosSpec(p_max_w=10**400),
+            lambda: PlatformSpec(mounting_deg=(0.0, 10**400, 0.0)),
         ],
         ids=[
             "layout", "preset", "compensation", "priority", "kind", "delay",
             "rho", "snapshots", "order", "l_win", "mounting", "noise_power",
             "altitude", "p_max", "k_min", "n_ref", "array", "count_type",
+            "p_max_huge_int", "mounting_huge_int",
         ],
     )
     def test_invalid_values_built_directly(self, build):
@@ -136,7 +139,10 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError):
             build()
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "value",
+        [float("nan"), float("inf"), float("-inf"), pytest.param(10**400, id="huge-int")],
+    )
     def test_every_float_field_must_be_finite(self, value):
         sections = [f for f in fields(ScenarioConfig) if f.default_factory is not MISSING]
         checked = 0
@@ -743,6 +749,7 @@ class TestCli:
             ("calibration", "epsilon", float("inf")),
             ("channel", "noise_power_w", float("inf")),
             ("hap", "mounting_deg", [0.0, float("-inf"), 0.0]),
+            pytest.param("qos", "p_max_w", 10**400, id="qos-p_max_w-huge-int"),
         ],
     )
     def test_non_finite_config_exit_2(self, tmp_path, capsys, section, key, value):

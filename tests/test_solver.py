@@ -1,8 +1,10 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
+import hapbeam.solver as solver
 from hapbeam.channel import sinr_and_rates
 from hapbeam.errors import ConfigError
 from hapbeam.solver import (
@@ -11,6 +13,7 @@ from hapbeam.solver import (
     SnapshotProblem,
     SolverScalars,
     kkt_decompose,
+    kkt_power,
     kkt_reconstruct,
     power_dual_bisection,
     predict_admission_and_scalars,
@@ -70,6 +73,29 @@ class TestProblemAndProxy:
                 noise_power=1.0,
                 analog_gram=bad_gram,
             )
+
+    @pytest.mark.parametrize(
+        "arg, value",
+        [
+            ("h_eff", np.nan), ("h_eff", np.inf), ("r_min", np.nan), ("r_min", np.inf),
+            ("p_max", np.nan), ("p_max", np.inf), ("noise_power", np.nan),
+            ("noise_power", np.inf), ("bandwidth", np.nan), ("bandwidth", np.inf),
+            ("circuit_power", np.nan), ("circuit_power", np.inf),
+            ("analog_gram", np.nan), ("analog_gram", np.inf),
+            pytest.param("p_max", 10**400, id="p_max-huge-int"),
+        ],
+    )
+    def test_build_rejects_non_finite(self, arg, value):
+        kwargs = dict(h_eff=np.ones((2, 2), dtype=complex), r_min=[1.0, 1.0], p_max=1.0,
+                      noise_power=1.0, bandwidth=1.0, circuit_power=1.0,
+                      analog_gram=np.eye(2, dtype=complex))
+        if arg in ("h_eff", "r_min", "analog_gram"):
+            kwargs[arg] = np.array(kwargs[arg])
+            kwargs[arg].flat[0] = value
+        else:
+            kwargs[arg] = value
+        with pytest.raises(ConfigError, match=rf"^{arg} must be"):
+            SnapshotProblem.build(**kwargs)
 
     def test_transmit_power_matches_element_domain(self):
         rng = np.random.default_rng(3)
@@ -290,6 +316,66 @@ class TestBisection:
         D = rng.standard_normal((prob.h_eff.shape[1], prob.num_users)) * 10.0
         Dp = project_power(prob, D.astype(complex))
         assert transmit_power(prob, Dp) <= prob.p_max
+
+
+class TestDualPower:
+    """The dual search reads power from the eigenbasis and builds D once."""
+
+    @pytest.mark.parametrize(
+        "case", ["rank-deficient", "near-collinear", "analog-gram", "random"]
+    )
+    def test_eigenbasis_power_matches_beamformer(self, case):
+        if case == "random":  # analog_gram None, K = N_RF
+            prob = random_problem(33, certify_frac=1.0)
+            mask = prob.certified.copy()
+        else:
+            prob, mask = _kkt_case(case)
+        sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
+        power = kkt_power(prob, kkt_decompose(prob, mask, sc))
+        N = prob.h_eff.shape[1]
+        gram = prob.analog_gram
+        # the same sums of N_RF-term products in another order, weighted by G
+        cond = 1.0 if gram is None else np.linalg.cond(gram)
+        tol = 100 * N * np.finfo(float).eps * cond
+        for nu in KKT_SHIFTS:
+            for ridge in (0.0, 0.5):
+                ref = transmit_power(prob, kkt_reconstruct(prob, mask, sc, nu + ridge))
+                err = abs(power(nu + ridge) - ref) / ref
+                assert err <= tol, (case, nu, ridge, err, tol)
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_one_beamformer_per_search(self, monkeypatch, ridge):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[3])
+            return kkt_reconstruct(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "kkt_reconstruct", counting)
+        searched = 0
+        for seed in range(30):
+            prob = random_problem(seed, p_max=0.05)
+            sc = predict_admission_and_scalars(prob)
+            mask = prob.certified.copy()
+            calls.clear()
+            nu, D, n_ev = power_dual_bisection(prob, mask, sc, ridge)
+            assert calls == [nu + ridge]
+            ref = kkt_reconstruct(prob, mask, sc, nu + ridge)
+            assert D.tobytes() == ref.tobytes()
+            searched += n_ev > 2
+        assert searched > 10  # the budget is tight enough to force bisection
+
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    def test_zero_scalars_stop_at_zero_dual(self, ridge):
+        prob, mask = _kkt_case("analog-gram")
+        K = prob.num_users
+        sc = SolverScalars(np.ones(K), np.zeros(K, complex), np.ones(K),
+                           required_power_proxy(prob))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nu, D, n_ev = power_dual_bisection(prob, mask, sc, ridge)
+        assert (nu, n_ev) == (0.0, 1)
+        assert D.shape == (prob.h_eff.shape[1], prob.num_users) and not D.any()
 
 
 class TestRepairAndSolve:
