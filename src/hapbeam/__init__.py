@@ -53,8 +53,6 @@ from .forecast import (
     forecast_errors,
     forecast_linear_trend,
     forecast_persistence,
-    load_forecast_csv,
-    save_forecast_csv,
 )
 from .geometry import (
     EulerZYX,
@@ -77,8 +75,12 @@ from .harness import (
 )
 from .io import (
     emit_results,
+    load_calibration_report,
+    load_forecast_csv,
     load_telemetry_csv,
     read_snapshots_csv,
+    save_calibration_report,
+    save_forecast_csv,
     save_telemetry_csv,
     write_snapshots_csv,
     write_summary_json,

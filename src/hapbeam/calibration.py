@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError
 from .forecast import AttitudeSeries, ForecastOutput
 from .geometry import EulerZYX, euler_to_rotation, rotation_log_vee
 
@@ -72,12 +72,10 @@ def coverage_check(scores, delta_omega: float) -> float:
     return float(np.mean(z <= delta_omega))
 
 
-REPORT_KEYS = ("delta_omega_rad", "rho", "n", "d", "h_pred")
-
-
 @dataclass(frozen=True)
 class CalibrationReport:
-    """Calibrated pointing-error radius plus the protocol parameters."""
+    """Calibrated pointing-error radius plus the protocol parameters
+    (io.save_calibration_report writes them as calibration.txt)."""
 
     delta_omega: float  # rad
     rho: float
@@ -85,48 +83,6 @@ class CalibrationReport:
     d: int
     h_pred: int
     scores: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def save(self, path) -> None:
-        lines = [
-            f"delta_omega_rad = {self.delta_omega!r}",
-            f"rho = {self.rho!r}",
-            f"n = {self.n}",
-            f"d = {self.d}",
-            f"h_pred = {self.h_pred}",
-        ]
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "CalibrationReport":
-        kv = {}
-        with open(path) as f:
-            for i, line in enumerate(f, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ParseError(f"line {i}: expected 'key = value', got {line!r}")
-                key, _, value = line.partition("=")
-                key = key.strip()
-                if key not in REPORT_KEYS:
-                    raise ParseError(f"line {i}: unknown key {key!r}")
-                if key in kv:
-                    raise ParseError(f"line {i}: duplicate key {key!r}")
-                kv[key] = value.strip()
-        missing = set(REPORT_KEYS) - set(kv)
-        if missing:
-            raise ParseError(f"missing keys: {sorted(missing)}")
-        try:
-            return cls(
-                delta_omega=float(kv["delta_omega_rad"]),
-                rho=float(kv["rho"]),
-                n=int(kv["n"]),
-                d=int(kv["d"]),
-                h_pred=int(kv["h_pred"]),
-            )
-        except (ValueError, TypeError) as e:
-            raise ParseError(f"malformed calibration report: {e}") from e
 
 
 def calibrate(

@@ -14,19 +14,28 @@ import numpy as np
 
 from .calibration import calibrate, coverage_check
 from .errors import ConfigError, DataError, HapbeamError, exit_code_for
-from .forecast import ForecastRequest, forecast_errors, save_forecast_csv
+from .forecast import ForecastRequest, forecast_errors
 from .harness import (
     LOCAL_FORECASTERS,
     CalibrationSpec,
     ForecastSpec,
     HorizonSpec,
     ScenarioConfig,
+    SeedSpec,
     forecaster,
     generate_attitude_series,
     run_experiment,
     sweep,
 )
-from .io import emit_results, load_telemetry_csv, save_telemetry_csv
+from .io import (
+    emit_results,
+    load_telemetry_csv,
+    save_calibration_report,
+    save_forecast_csv,
+    save_telemetry_csv,
+    write_json,
+)
+
 
 def _load_config(path) -> dict:
     p = Path(path)
@@ -38,20 +47,28 @@ def _load_config(path) -> dict:
         raise ConfigError(f"{p}: invalid JSON ({exc})") from None
 
 
+def _check_flags(flags: str, build_spec) -> None:
+    """Check flag values by building the config spec that holds them; a bad
+    value exits 2 with a message naming the flags as typed."""
+    try:
+        build_spec()
+    except ConfigError as exc:
+        raise ConfigError(f"{flags}: {exc}") from None
+
+
 def _issue_all(args):
     """Load the telemetry and issue a local forecast at every stride-th
-    origin.  The window arguments are checked as the scenario config checks
-    them, so a bad value exits 2 before any forecasting."""
-    try:
-        ScenarioConfig(
+    origin.  The window arguments are checked as a forecast-mode scenario
+    config checks them, so a bad value exits 2 before any forecasting."""
+    _check_flags(
+        f"--forecaster {args.forecaster} --order {args.order} --l-win {args.l_win} "
+        f"--h-pred {args.h_pred} --delay {args.delay}",
+        lambda: ScenarioConfig(
             horizon=HorizonSpec(l_win=args.l_win, h_pred=args.h_pred, delay=args.delay),
             forecaster=ForecastSpec(kind=args.forecaster, order=args.order),
-        )
-    except ConfigError as exc:
-        raise ConfigError(
-            f"--forecaster {args.forecaster} --order {args.order} --l-win {args.l_win} "
-            f"--h-pred {args.h_pred} --delay {args.delay}: {exc}"
-        ) from None
+            compensation="forecast",
+        ),
+    )
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
     series = load_telemetry_csv(args.telemetry)
@@ -69,10 +86,8 @@ def _issue_all(args):
 
 
 def cmd_gen_telemetry(args) -> int:
-    try:
-        HorizonSpec(dt_s=args.dt)
-    except ConfigError as exc:
-        raise ConfigError(f"--dt {args.dt}: {exc}") from None
+    _check_flags(f"--dt {args.dt}", lambda: HorizonSpec(dt_s=args.dt))
+    _check_flags(f"--seed {args.seed}", lambda: SeedSpec(attitude=args.seed))
     for flag, value in (("--amplitude-scale", args.amplitude_scale),
                         ("--noise-scale", args.noise_scale)):
         if not np.isfinite(value):
@@ -98,23 +113,19 @@ def cmd_forecast_eval(args) -> int:
         "p99_deg": list(map(float, report.p99_deg)),
         "per_horizon_mae_deg": list(map(float, report.per_horizon_mae_deg)),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        write_json(args.out, payload)
         print(f"wrote forecast error report to {args.out}")
     else:
-        print(text)
+        print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    try:
-        CalibrationSpec(rho=args.rho)
-    except ConfigError as exc:
-        raise ConfigError(f"--rho {args.rho}: {exc}") from None
+    _check_flags(f"--rho {args.rho}", lambda: CalibrationSpec(rho=args.rho))
     series, outputs = _issue_all(args)
     report = calibrate(series, outputs, args.delay, args.rho)
-    report.save(args.out)
+    save_calibration_report(args.out, report)
     cover = coverage_check(report.scores, report.delta_omega)
     print(
         f"calibrated on {report.n} windows: delta_omega = "
@@ -172,7 +183,7 @@ def cmd_sweep(args) -> int:
             f"sum-rate {agg['mean_sum_rate']:.4f}"
         )
     out.mkdir(parents=True, exist_ok=True)
-    (out / "index.json").write_text(json.dumps(index, indent=2) + "\n")
+    write_json(out / "index.json", index, sort_keys=False)
     print(f"wrote {len(cells)} cells under {out}")
     return 0
 

@@ -7,18 +7,14 @@ unwraps it, the autoregressive fit works on its sine/cosine pair, and all
 errors are computed through the wrapped difference.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParseError
+from .errors import DataError
 from .geometry import wrap_pi
-from .units import deg_text_to_rad, rad_to_deg_text
 
 _EPS_SLOPE = 1e-12  # ridge in the least-squares slope denominator
-
-FORECAST_HEADER = ["origin_slot", "horizon", "yaw_deg", "pitch_deg", "roll_deg"]
 
 
 @dataclass(frozen=True)
@@ -175,87 +171,6 @@ def forecast_ar(
     yaw = np.where(norm > 1e-12, np.arctan2(s, c), w[-1, 0])
     angles = np.column_stack([wrap_pi(yaw), cols["pitch"], cols["roll"]])
     return ForecastOutput(req.origin, angles, f"ar{order}")
-
-
-# ---------------------------------------------------------------------------
-# External forecast replay
-# ---------------------------------------------------------------------------
-
-
-def save_forecast_csv(path, outputs: list[ForecastOutput]) -> None:
-    """Write forecasts as origin_slot,horizon,yaw_deg,pitch_deg,roll_deg.
-
-    Degrees are printed with enough precision that loading the file
-    reproduces the in-memory radians bit-exactly.
-    """
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(FORECAST_HEADER)
-        for out in sorted(outputs, key=lambda o: o.origin):
-            for h in range(out.angles.shape[0]):
-                wr.writerow(
-                    [out.origin, h + 1]
-                    + [rad_to_deg_text(float(out.angles[h, j])) for j in range(3)]
-                )
-
-
-def load_forecast_csv(path) -> dict[int, ForecastOutput]:
-    """Load externally produced forecasts.
-
-    Requires the exact header, contiguous horizons 1..H per origin, one
-    consistent horizon count across origins, and finite numbers; parse
-    errors name the offending row and column.  Yaw is wrapped on load.
-    """
-    rows: dict[int, dict[int, np.ndarray]] = {}
-    with open(path, newline="") as f:
-        rd = csv.reader(f)
-        header = next(rd, None)
-        if header != FORECAST_HEADER:
-            raise ParseError(
-                f"bad forecast header {header!r}; expected {FORECAST_HEADER!r}"
-            )
-        for i, row in enumerate(rd, start=2):
-            if len(row) != 5:
-                raise ParseError(f"row {i}: expected 5 fields, got {len(row)}")
-            try:
-                origin = int(row[0])
-            except ValueError as e:
-                raise ParseError(f"row {i}, column origin_slot: {row[0]!r}") from e
-            try:
-                horizon = int(row[1])
-            except ValueError as e:
-                raise ParseError(f"row {i}, column horizon: {row[1]!r}") from e
-            vals = np.empty(3)
-            for j, name in enumerate(FORECAST_HEADER[2:]):
-                try:
-                    vals[j] = deg_text_to_rad(row[2 + j])
-                except (ValueError, ArithmeticError) as e:
-                    raise ParseError(f"row {i}, column {name}: {row[2 + j]!r}") from e
-            if not np.all(np.isfinite(vals)):
-                raise ParseError(f"row {i}: non-finite angle")
-            if horizon < 1:
-                raise ParseError(f"row {i}, column horizon: must be >= 1, got {horizon}")
-            per = rows.setdefault(origin, {})
-            if horizon in per:
-                raise ParseError(f"row {i}: duplicate horizon {horizon} for origin {origin}")
-            per[horizon] = vals
-    if not rows:
-        raise ParseError("forecast file contains no rows")
-    h_counts = {max(per) for per in rows.values()}
-    if len(h_counts) != 1:
-        raise ParseError(f"inconsistent horizon counts across origins: {sorted(h_counts)}")
-    h_pred = h_counts.pop()
-    out = {}
-    for origin, per in rows.items():
-        missing = set(range(1, h_pred + 1)) - set(per)
-        if missing:
-            raise ParseError(
-                f"origin {origin}: missing horizons {sorted(missing)}"
-            )
-        rad = np.stack([per[h] for h in range(1, h_pred + 1)])
-        rad[:, 0] = wrap_pi(rad[:, 0])
-        out[origin] = ForecastOutput(origin, rad, "external")
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from .forecast import (
     forecast_errors,
     forecast_linear_trend,
     forecast_persistence,
-    load_forecast_csv,
 )
 from .geometry import (
     EulerZYX,
@@ -48,6 +47,7 @@ from .geometry import (
     los_to_body_angles,
     rotation_log_vee,
 )
+from .io import SNAPSHOT_COLUMNS, load_forecast_csv
 from .solver import SnapshotProblem, solve_snapshot
 
 CHANNEL_PRESETS = {
@@ -287,6 +287,10 @@ class SeedSpec:
 
     def __post_init__(self):
         _check_types(self, "seeds")
+        for f in fields(self):
+            seed = getattr(self, f.name)
+            if seed < 0:
+                raise ConfigError(f"seeds.{f.name} must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -313,8 +317,10 @@ class ScenarioConfig:
             )
         if self.snapshots < 1:
             raise ConfigError("snapshots must be >= 1")
+        # only the forecast mode runs the configured forecaster
         horizon, fc = self.horizon, self.forecaster
-        if fc.kind == "ar" and horizon.l_win < 4 * fc.order:
+        runs_ar = self.compensation == "forecast" and fc.kind == "ar"
+        if runs_ar and horizon.l_win < 4 * fc.order:
             raise ConfigError(
                 f"horizon.l_win {horizon.l_win} too short for AR order "
                 f"{fc.order}; need l_win >= 4 * order"
@@ -522,7 +528,8 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
         def source(_series, req):
             if req.origin not in replay:
                 raise UncoveredSlotError(f"external replay misses origin {req.origin}")
-            return replay[req.origin]
+            out = replay[req.origin]  # scored and applied over h_pred horizons only
+            return replace(out, angles=out.angles[: req.h_pred])
 
     def issue(origin):
         return source(series, ForecastRequest(origin, hz.l_win, hz.h_pred, hz.delay))
@@ -557,10 +564,8 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
     )
 
     half = np.deg2rad(config.calibration.box_halfwidth_deg)
-    columns = {name: [] for name in (
-        "snapshot", "mode", "K", "QAR", "sum_rate", "ee", "power", "feasible",
-        "max_pointing_err_deg", "solve_time_s",
-    )}
+    # solve_time_s is kept for timing callers and written to no file
+    columns = {name: [] for name in (*SNAPSHOT_COLUMNS, "solve_time_s")}
     for i, slot in enumerate(slots):
         try:
             beam_att = EulerZYX(*forecasts[int(slot) - hz.delay - 1].angles[hz.delay])

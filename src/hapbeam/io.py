@@ -1,136 +1,247 @@
-"""File formats: telemetry CSV, per-snapshot results, summary JSON.
+"""File formats: telemetry CSV, forecast-replay CSV, per-snapshot results,
+summary JSON and the calibration report.
 
 Angles cross the disk boundary as decimal-degree text produced by the
 high-precision converters in units.py, so a save/load cycle returns the
 exact in-memory radians.  Result floats are written with repr, which the
 reader inverts exactly; two identical runs therefore produce byte-identical
 snapshot tables.
+
+The three CSV formats share one writer (LF line ends) and one strict
+reader: a missing file is a DataError; the header must match after
+stripping; blank lines are skipped; every row has one field per column;
+and a cell that does not parse raises a ParseError naming the path, the
+file line (the header is line 1) and the column.
 """
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
+from .calibration import CalibrationReport
 from .errors import ConfigError, DataError, ParseError
-from .forecast import AttitudeSeries
+from .forecast import AttitudeSeries, ForecastOutput
+from .geometry import wrap_pi
 from .units import deg_text_to_rad, rad_to_deg_text
 
-TELEMETRY_HEADER = "t,yaw_deg,pitch_deg,roll_deg"
-SNAPSHOT_COLUMNS = (
-    "snapshot",
-    "mode",
-    "K",
-    "QAR",
-    "sum_rate",
-    "ee",
-    "power",
-    "feasible",
-    "max_pointing_err_deg",
-)
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
-def save_telemetry_csv(path, series: AttitudeSeries) -> None:
-    lines = [TELEMETRY_HEADER]
-    for n, row in enumerate(series.samples):
-        t = repr(float(n * series.dt))
-        lines.append(
-            f"{t},{rad_to_deg_text(row[0])},{rad_to_deg_text(row[1])},"
-            f"{rad_to_deg_text(row[2])}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def _finite_deg(text: str) -> float:
+    return _finite(deg_text_to_rad(text))
 
 
-def load_telemetry_csv(path) -> AttitudeSeries:
-    """Strict reader: exact header, four fields per row, finite values,
-    uniformly spaced timestamps."""
+# The CSV tables: column name -> parser of its cells, in file order.
+TELEMETRY_HEADER = {
+    "t": _finite, "yaw_deg": _finite_deg, "pitch_deg": _finite_deg, "roll_deg": _finite_deg,
+}
+FORECAST_HEADER = {
+    "origin_slot": int, "horizon": int,
+    "yaw_deg": _finite_deg, "pitch_deg": _finite_deg, "roll_deg": _finite_deg,
+}
+# Each type also formats its cells (str) and the per-snapshot rows of
+# summary.json; run_experiment builds its columns from these names.
+SNAPSHOT_COLUMNS = {
+    "snapshot": int,
+    "mode": str,
+    "K": int,
+    "QAR": float,
+    "sum_rate": float,
+    "ee": float,
+    "power": float,
+    "feasible": float,
+    "max_pointing_err_deg": float,
+}
+# calibration.txt: key -> type of its value, in file order
+REPORT_KEYS = {"delta_omega_rad": float, "rho": float, "n": int, "d": int, "h_pred": int}
+
+
+def _read_lines(path: Path) -> list[str]:
+    try:
+        return path.read_text().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc.reason})") from None
+
+
+def _read_table(path, columns: dict) -> list[tuple[int, list]]:
+    """(file line, parsed cells) of every row of a CSV table whose header
+    lists the keys of `columns`; each value parses one column's cells."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"telemetry file not found: {path}")
-    lines = path.read_text().splitlines()
-    if not lines or lines[0].strip() != TELEMETRY_HEADER:
-        raise ParseError(f"{path}: expected header {TELEMETRY_HEADER!r}")
-    names = TELEMETRY_HEADER.split(",")
-    times, samples = [], []
-    for r, line in enumerate(lines[1:], start=1):
+    lines = _read_lines(path)
+    header = ",".join(columns)
+    if not lines or lines[0].strip() != header:
+        raise ParseError(f"{path}: expected header {header!r}")
+    rows = []
+    for n, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"{path}: row {r} has {len(fields)} fields, expected 4")
-        try:
-            times.append(float(fields[0]))
-        except ValueError:
-            raise ParseError(f"{path}: row {r}, column t: {fields[0]!r}") from None
-        row = []
-        for name, text in zip(names[1:], fields[1:]):
+        if len(fields) != len(columns):
+            raise ParseError(
+                f"{path}: row {n} has {len(fields)} fields, expected {len(columns)}"
+            )
+        cells = []
+        for (name, parse), text in zip(columns.items(), fields):
             try:
-                row.append(deg_text_to_rad(text))
+                cells.append(parse(text))
             except (ValueError, ArithmeticError):
-                raise ParseError(
-                    f"{path}: row {r}, column {name}: {text!r}"
-                ) from None
-        samples.append(row)
-    if len(samples) < 2:
+                raise ParseError(f"{path}: row {n}, column {name}: {text!r}") from None
+        rows.append((n, cells))
+    return rows
+
+
+def _write_lines(path, lines) -> None:
+    Path(path).write_text("\n".join(lines) + "\n", newline="\n")
+
+
+def _write_table(path, columns, rows) -> None:
+    _write_lines(path, [",".join(columns), *(",".join(row) for row in rows)])
+
+
+def save_telemetry_csv(path, series: AttitudeSeries) -> None:
+    _write_table(path, TELEMETRY_HEADER, (
+        [repr(float(n * series.dt)), *map(rad_to_deg_text, row)]
+        for n, row in enumerate(series.samples)
+    ))
+
+
+def load_telemetry_csv(path) -> AttitudeSeries:
+    """Strict reader: finite values, at least two rows, uniformly spaced
+    timestamps."""
+    rows = [cells for _, cells in _read_table(path, TELEMETRY_HEADER)]
+    if len(rows) < 2:
         raise ParseError(f"{path}: need at least 2 telemetry rows")
-    times = np.asarray(times)
-    samples = np.asarray(samples)
-    if not np.all(np.isfinite(times)) or not np.all(np.isfinite(samples)):
-        raise ParseError(f"{path}: non-finite telemetry values")
-    steps = np.diff(times)
+    table = np.asarray(rows)
+    steps = np.diff(table[:, 0])
     dt = steps[0]
     if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(abs(dt), 1.0)):
         raise ParseError(f"{path}: timestamps must be uniformly increasing")
-    return AttitudeSeries.build(float(dt), samples)
+    return AttitudeSeries.build(float(dt), table[:, 1:])
 
 
-def _format_cell(name: str, value) -> str:
-    if name == "mode":
-        return str(value)
-    if name in ("snapshot", "K"):
-        return str(int(value))
-    return repr(float(value))
+def save_forecast_csv(path, outputs: list[ForecastOutput]) -> None:
+    """Write forecasts as origin_slot,horizon,yaw_deg,pitch_deg,roll_deg.
+
+    Degrees are printed with enough precision that loading the file
+    reproduces the in-memory radians bit-exactly.
+    """
+    _write_table(path, FORECAST_HEADER, (
+        [str(out.origin), str(h + 1), *(rad_to_deg_text(float(v)) for v in row)]
+        for out in sorted(outputs, key=lambda o: o.origin)
+        for h, row in enumerate(out.angles)
+    ))
+
+
+def load_forecast_csv(path) -> dict[int, ForecastOutput]:
+    """Load externally produced forecasts.
+
+    Requires contiguous horizons 1..H per origin and one consistent
+    horizon count across origins.  Yaw is wrapped on load.
+    """
+    rows: dict[int, dict[int, list]] = {}
+    for n, (origin, horizon, *angles) in _read_table(path, FORECAST_HEADER):
+        if horizon < 1:
+            raise ParseError(
+                f"{path}: row {n}, column horizon: must be >= 1, got {horizon}"
+            )
+        per = rows.setdefault(origin, {})
+        if horizon in per:
+            raise ParseError(
+                f"{path}: row {n}: duplicate horizon {horizon} for origin {origin}"
+            )
+        per[horizon] = angles
+    if not rows:
+        raise ParseError(f"{path}: forecast file contains no rows")
+    h_counts = {max(per) for per in rows.values()}
+    if len(h_counts) != 1:
+        raise ParseError(
+            f"{path}: inconsistent horizon counts across origins: {sorted(h_counts)}"
+        )
+    h_pred = h_counts.pop()
+    out = {}
+    for origin, per in rows.items():
+        missing = set(range(1, h_pred + 1)) - set(per)
+        if missing:
+            raise ParseError(f"{path}: origin {origin}: missing horizons {sorted(missing)}")
+        rad = np.array([per[h] for h in range(1, h_pred + 1)])
+        rad[:, 0] = wrap_pi(rad[:, 0])
+        out[origin] = ForecastOutput(origin, rad, "external")
+    return out
 
 
 def write_snapshots_csv(path, columns: dict) -> None:
     missing = [c for c in SNAPSHOT_COLUMNS if c not in columns]
     if missing:
         raise ConfigError(f"snapshot table lacks column(s): {', '.join(missing)}")
-    n = len(columns["snapshot"])
-    lines = [",".join(SNAPSHOT_COLUMNS)]
-    for i in range(n):
-        lines.append(
-            ",".join(_format_cell(c, columns[c][i]) for c in SNAPSHOT_COLUMNS)
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    cells = [[str(kind(v)) for v in columns[name]] for name, kind in SNAPSHOT_COLUMNS.items()]
+    _write_table(path, SNAPSHOT_COLUMNS, zip(*cells, strict=True))
 
 
 def read_snapshots_csv(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"snapshot table not found: {path}")
-    lines = [ln for ln in path.read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != ",".join(SNAPSHOT_COLUMNS):
-        raise ParseError(f"{path}: unexpected snapshot table header")
-    columns = {c: [] for c in SNAPSHOT_COLUMNS}
-    for r, line in enumerate(lines[1:], start=1):
-        fields = line.split(",")
-        if len(fields) != len(SNAPSHOT_COLUMNS):
-            raise ParseError(f"{path}: row {r} has {len(fields)} fields")
-        for name, text in zip(SNAPSHOT_COLUMNS, fields):
-            try:
-                if name == "mode":
-                    columns[name].append(text)
-                elif name in ("snapshot", "K"):
-                    columns[name].append(int(text))
-                else:
-                    columns[name].append(float(text))
-            except ValueError:
-                raise ParseError(f"{path}: row {r}, column {name}: {text!r}") from None
+    table = {name: [] for name in SNAPSHOT_COLUMNS}
+    for _, cells in _read_table(path, SNAPSHOT_COLUMNS):
+        for column, cell in zip(table.values(), cells):
+            column.append(cell)
     return {
-        name: (vals if name == "mode" else np.asarray(vals))
-        for name, vals in columns.items()
+        name: column if kind is str else np.asarray(column, dtype=kind)
+        for (name, kind), column in zip(SNAPSHOT_COLUMNS.items(), table.values())
     }
+
+
+def save_calibration_report(path, report: CalibrationReport) -> None:
+    values = (report.delta_omega, report.rho, report.n, report.d, report.h_pred)
+    _write_lines(
+        path, [f"{key} = {kind(v)}" for (key, kind), v in zip(REPORT_KEYS.items(), values)]
+    )
+
+
+def load_calibration_report(path) -> CalibrationReport:
+    """Strict reader of `key = value` lines: every key of REPORT_KEYS once,
+    no other key, and each value in its range."""
+    path = Path(path)
+    text = {}
+    for i, line in enumerate(_read_lines(path), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError(f"{path}: line {i}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in REPORT_KEYS:
+            raise ParseError(f"{path}: line {i}: unknown key {key!r}")
+        if key in text:
+            raise ParseError(f"{path}: line {i}: duplicate key {key!r}")
+        text[key] = value.strip()
+    missing = [key for key in REPORT_KEYS if key not in text]
+    if missing:
+        raise ParseError(f"{path}: missing keys: {missing}")
+    values = {}
+    for key, kind in REPORT_KEYS.items():
+        try:
+            values[key] = kind(text[key])
+        except ValueError:
+            raise ParseError(f"{path}: {key}: {text[key]!r}") from None
+    delta_omega, rho, n, d, h_pred = values.values()
+    in_range = {
+        "delta_omega_rad": (math.isfinite(delta_omega) and delta_omega >= 0, "finite, >= 0"),
+        "rho": (0 < rho < 1, "0 < rho < 1"),
+        "n": (n >= 1, "n >= 1"),
+        "d": (0 <= d < h_pred, "0 <= d < h_pred"),
+    }
+    for key, (ok, rule) in in_range.items():
+        if not ok:
+            raise ParseError(f"{path}: {key} = {text[key]} is out of range ({rule})")
+    return CalibrationReport(delta_omega, rho, n, d, h_pred)
 
 
 def _result_payload(result, include_snapshots: bool) -> dict:
@@ -152,22 +263,18 @@ def _result_payload(result, include_snapshots: bool) -> dict:
     }
     if include_snapshots:
         payload["per_snapshot"] = {
-            name: (
-                list(result.snapshots[name])
-                if name == "mode"
-                else [
-                    int(v) if name in ("snapshot", "K") else float(v)
-                    for v in result.snapshots[name]
-                ]
-            )
-            for name in SNAPSHOT_COLUMNS
+            name: [kind(v) for v in result.snapshots[name]]
+            for name, kind in SNAPSHOT_COLUMNS.items()
         }
     return payload
 
 
+def write_json(path, payload, sort_keys: bool = True) -> None:
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=sort_keys)])
+
+
 def write_summary_json(path, result, include_snapshots: bool = False) -> None:
-    payload = _result_payload(result, include_snapshots)
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, _result_payload(result, include_snapshots))
 
 
 def emit_results(result, out_dir, fmt: str = "csv") -> dict:
@@ -188,11 +295,8 @@ def emit_results(result, out_dir, fmt: str = "csv") -> dict:
     if fmt == "csv":
         paths["snapshots"] = out / "snapshots.csv"
         write_snapshots_csv(paths["snapshots"], result.snapshots)
-        paths["summary"] = out / "summary.json"
-        write_summary_json(paths["summary"], result, include_snapshots=False)
-    else:
-        paths["summary"] = out / "summary.json"
-        write_summary_json(paths["summary"], result, include_snapshots=True)
+    paths["summary"] = out / "summary.json"
+    write_summary_json(paths["summary"], result, include_snapshots=fmt == "json")
     paths["calibration"] = out / "calibration.txt"
-    result.calibration.save(paths["calibration"])
+    save_calibration_report(paths["calibration"], result.calibration)
     return paths

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from hapbeam.calibration import (
     window_residuals,
 )
 from hapbeam.errors import DataError, ParseError
+from hapbeam.io import load_calibration_report, save_calibration_report
 from hapbeam.forecast import AttitudeSeries, ForecastOutput
 from hapbeam.geometry import EulerZYX, euler_to_rotation, rotation_exp, rotation_to_euler
 
@@ -105,8 +108,8 @@ class TestReport:
     def test_save_load_round_trip(self, tmp_path):
         rep = self.make_report()
         p = tmp_path / "calibration.txt"
-        rep.save(p)
-        got = CalibrationReport.load(p)
+        save_calibration_report(p, rep)
+        got = load_calibration_report(p)
         assert got.delta_omega == rep.delta_omega
         assert got.rho == rep.rho
         assert got.n == rep.n
@@ -115,31 +118,45 @@ class TestReport:
 
     def test_saved_keys_are_the_radius_and_protocol(self, tmp_path):
         p = tmp_path / "calibration.txt"
-        self.make_report().save(p)
+        save_calibration_report(p, self.make_report())
         keys = [line.partition("=")[0].strip() for line in p.read_text().splitlines()]
         assert keys == ["delta_omega_rad", "rho", "n", "d", "h_pred"]
 
     def test_old_moment_key_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
-        self.make_report().save(p)
+        save_calibration_report(p, self.make_report())
         p.write_text(p.read_text() + "mu_omega = 0.0 0.0 0.0\n")
         with pytest.raises(ParseError, match="unknown key 'mu_omega'"):
-            CalibrationReport.load(p)
+            load_calibration_report(p)
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
-        self.make_report().save(p)
+        save_calibration_report(p, self.make_report())
         p.write_text(p.read_text() + "bogus = 1\n")
         with pytest.raises(ParseError, match="unknown key"):
-            CalibrationReport.load(p)
+            load_calibration_report(p)
+
+    @pytest.mark.parametrize(
+        "key, value", [("delta_omega_rad", "nan"), ("rho", "7"), ("n", "-3"), ("d", "20")]
+    )
+    def test_out_of_range_value_rejected(self, tmp_path, key, value):
+        p = tmp_path / "c.txt"
+        save_calibration_report(p, self.make_report())  # h_pred = 12
+        lines = [
+            f"{key} = {value}" if line.startswith(f"{key} =") else line
+            for line in p.read_text().splitlines()
+        ]
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}: {key} = {value} is out of range")):
+            load_calibration_report(p)
 
     def test_missing_key_rejected(self, tmp_path):
         p = tmp_path / "c.txt"
-        self.make_report().save(p)
+        save_calibration_report(p, self.make_report())
         lines = [l for l in p.read_text().splitlines() if not l.startswith("rho")]
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(ParseError, match="missing"):
-            CalibrationReport.load(p)
+            load_calibration_report(p)
 
 
 class TestEndToEndCalibrate:

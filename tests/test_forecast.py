@@ -11,9 +11,8 @@ from hapbeam.forecast import (
     forecast_errors,
     forecast_linear_trend,
     forecast_persistence,
-    load_forecast_csv,
-    save_forecast_csv,
 )
+from hapbeam.io import FORECAST_HEADER, load_forecast_csv, save_forecast_csv
 
 
 def series_from(cols, dt=0.1):
@@ -185,7 +184,7 @@ class TestForecastCsv:
 
     def test_yaw_wrapped_on_load(self, tmp_path):
         p = tmp_path / "f.csv"
-        lines = [",".join(fc.FORECAST_HEADER)]
+        lines = [",".join(FORECAST_HEADER)]
         lines += [f"7,{h},185.0,0.0,0.0" for h in range(1, 4)]
         p.write_text("\n".join(lines) + "\n")
         got = load_forecast_csv(p)
@@ -199,21 +198,21 @@ class TestForecastCsv:
 
     def test_missing_horizon_naming(self, tmp_path):
         p = tmp_path / "f.csv"
-        head = ",".join(fc.FORECAST_HEADER)
+        head = ",".join(FORECAST_HEADER)
         p.write_text(f"{head}\n3,1,0,0,0\n3,3,0,0,0\n")
         with pytest.raises(ParseError, match="missing horizons"):
             load_forecast_csv(p)
 
     def test_bad_value_names_row_and_column(self, tmp_path):
         p = tmp_path / "f.csv"
-        head = ",".join(fc.FORECAST_HEADER)
+        head = ",".join(FORECAST_HEADER)
         p.write_text(f"{head}\n3,1,0,abc,0\n")
         with pytest.raises(ParseError, match="row 2, column pitch_deg"):
             load_forecast_csv(p)
 
     def test_inconsistent_horizon_counts(self, tmp_path):
         p = tmp_path / "f.csv"
-        head = ",".join(fc.FORECAST_HEADER)
+        head = ",".join(FORECAST_HEADER)
         rows = [f"1,{h},0,0,0" for h in (1, 2)] + ["2,1,0,0,0"]
         p.write_text(head + "\n" + "\n".join(rows) + "\n")
         with pytest.raises(ParseError, match="inconsistent"):
@@ -221,7 +220,7 @@ class TestForecastCsv:
 
     def test_duplicate_horizon(self, tmp_path):
         p = tmp_path / "f.csv"
-        head = ",".join(fc.FORECAST_HEADER)
+        head = ",".join(FORECAST_HEADER)
         p.write_text(f"{head}\n1,1,0,0,0\n1,1,0,0,0\n")
         with pytest.raises(ParseError, match="duplicate"):
             load_forecast_csv(p)

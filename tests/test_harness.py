@@ -5,10 +5,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from hapbeam.calibration import CalibrationReport
 from hapbeam.cli import main
-from hapbeam.errors import ConfigError, ParseError, UncoveredSlotError
-from hapbeam.forecast import AttitudeSeries, ForecastRequest, forecast_ar, save_forecast_csv
+from hapbeam.errors import ConfigError, DataError, ParseError, UncoveredSlotError, exit_code_for
+from hapbeam.forecast import AttitudeSeries, ForecastRequest, forecast_ar
 from hapbeam.geometry import EulerZYX
 import hapbeam.harness as harness
 from hapbeam.harness import (
@@ -34,8 +33,15 @@ from hapbeam.harness import (
     VAL_FRAC,
 )
 from hapbeam.io import (
+    FORECAST_HEADER,
+    SNAPSHOT_COLUMNS,
+    TELEMETRY_HEADER,
+    emit_results,
+    load_calibration_report,
+    load_forecast_csv,
     load_telemetry_csv,
     read_snapshots_csv,
+    save_forecast_csv,
     save_telemetry_csv,
     write_snapshots_csv,
 )
@@ -430,7 +436,9 @@ class TestRunExperiment:
     def test_external_replay_matches_internal(self, tmp_path):
         cfg = ScenarioConfig.from_dict(dict(FAST))
         internal = run_experiment(cfg)
-        # reproduce every forecast the run issued and replay from disk
+        emit_results(internal, tmp_path / "internal")
+        # reproduce every forecast the run issued and replay it from disk, once
+        # with h_pred horizons and once with more: only h_pred of them count
         length = required_series_length(cfg)
         series = generate_attitude_series(cfg.seeds.attitude, length, cfg.horizon.dt_s)
         t_tr = int(TRAIN_FRAC * length)
@@ -440,20 +448,22 @@ class TestRunExperiment:
         origins = list(range(t_tr, t_val - hz.h_pred)) + [
             int(s) - hz.delay - 1 for s in internal.eval_slots
         ]
-        outs = [
-            fn(series, ForecastRequest(t, hz.l_win, hz.h_pred, hz.delay))
-            for t in origins
-        ]
-        path = tmp_path / "forecasts.csv"
-        save_forecast_csv(path, outs)
-        ext = run_experiment(
-            ScenarioConfig.from_dict(
-                {**FAST, "forecaster": {"kind": "external", "path": str(path)}}
+        for h_saved in (hz.h_pred, hz.h_pred + 6):
+            outs = [
+                fn(series, ForecastRequest(t, hz.l_win, h_saved, hz.delay))
+                for t in origins
+            ]
+            path = tmp_path / f"forecasts{h_saved}.csv"
+            save_forecast_csv(path, outs)
+            ext = run_experiment(
+                ScenarioConfig.from_dict(
+                    {**FAST, "forecaster": {"kind": "external", "path": str(path)}}
+                )
             )
-        )
-        assert np.array_equal(ext.snapshots["sum_rate"], internal.snapshots["sum_rate"])
-        assert np.array_equal(ext.snapshots["QAR"], internal.snapshots["QAR"])
-        assert ext.calibration.delta_omega == internal.calibration.delta_omega
+            emit_results(ext, tmp_path / f"external{h_saved}")
+            for name in ("snapshots.csv", "summary.json", "calibration.txt"):
+                got = (tmp_path / f"external{h_saved}" / name).read_bytes()
+                assert got == (tmp_path / "internal" / name).read_bytes(), (h_saved, name)
 
     def test_symmetric_users_equal_qar_across_priorities(self):
         # equal floors and equal orthogonal channels: the ranking cannot
@@ -517,7 +527,7 @@ class TestIo:
     def test_telemetry_bad_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("t,yaw_deg,pitch_deg,roll_deg\n0.0,0.0,oops,0.0\n0.1,0,0,0\n")
-        with pytest.raises(ParseError, match=r"row 1, column pitch_deg"):
+        with pytest.raises(ParseError, match=r"row 2, column pitch_deg"):
             load_telemetry_csv(p)
 
     def test_telemetry_nonuniform_rejected(self, tmp_path):
@@ -527,6 +537,52 @@ class TestIo:
         )
         with pytest.raises(ParseError, match="uniform"):
             load_telemetry_csv(p)
+
+    @pytest.mark.parametrize(
+        "load, plain, header, rows, bad_column",
+        [
+            (
+                load_telemetry_csv, lambda s: (s.dt, s.samples.tolist()),
+                TELEMETRY_HEADER, ["0.0,1,2,3", "0.1,4,5,6"], "pitch_deg",
+            ),
+            (
+                load_forecast_csv, lambda f: {t: o.angles.tolist() for t, o in f.items()},
+                FORECAST_HEADER, ["5,1,1,2,3", "5,2,4,5,6"], "pitch_deg",
+            ),
+            (
+                read_snapshots_csv, lambda c: {k: list(v) for k, v in c.items()},
+                SNAPSHOT_COLUMNS,
+                ["0,forecast,4,0.5,1.0,0.1,2.0,1.0,0.3", "1,forecast,4,0.75,1.5,0.2,3.0,1.0,0.4"],
+                "QAR",
+            ),
+        ],
+        ids=["telemetry", "forecast", "snapshots"],
+    )
+    def test_reader_contract(self, tmp_path, load, plain, header, rows, bad_column):
+        p = tmp_path / "table.csv"
+
+        def load_text(text):
+            p.write_bytes(text.encode())
+            return plain(load(p))
+
+        head = ",".join(header)
+        clean = load_text("\n".join([head, *rows]) + "\n")
+        # blank lines are skipped, CRLF line ends load the same
+        assert load_text(f"{head}\n\n{rows[0]}\n  \n{rows[1]}\n") == clean
+        assert load_text("\r\n".join([head, *rows]) + "\r\n") == clean
+        with pytest.raises(ParseError, match="expected header"):
+            load_text("\n".join(["a,b,c", *rows]) + "\n")
+        with pytest.raises(ParseError, match=r"row 3 has \d+ fields"):
+            load_text("\n".join([head, rows[0], rows[1].rpartition(",")[0]]) + "\n")
+        # a bad cell is reported at its file line, blank lines counted
+        col = list(header).index(bad_column)
+        bad = ",".join("oops" if j == col else v for j, v in enumerate(rows[1].split(",")))
+        with pytest.raises(ParseError) as info:
+            load_text(f"{head}\n{rows[0]}\n\n{bad}\n")
+        assert str(info.value) == f"{p}: row 4, column {bad_column}: 'oops'"
+        with pytest.raises(DataError, match="cannot read") as info:
+            load(tmp_path / "missing.csv")
+        assert exit_code_for(info.value) == 3
 
     def test_snapshots_round_trip(self, tmp_path):
         res = run_experiment(ScenarioConfig.from_dict({**FAST, "snapshots": 6}))
@@ -574,7 +630,7 @@ class TestCli:
             "--order", "12", "--out", str(rep),
         )
         assert code == 0
-        loaded = CalibrationReport.load(rep)
+        loaded = load_calibration_report(rep)
         assert loaded.delta_omega > 0
 
         capsys.readouterr()  # drop output from the earlier subcommands
@@ -664,6 +720,34 @@ class TestCli:
         assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be an integer" in err
+
+    @pytest.mark.parametrize("mode, code", [
+        ("none", 0), ("reactive", 0), ("ideal", 0), ("forecast", 2),
+    ])
+    def test_ar_window_checked_only_in_forecast_mode(self, tmp_path, capsys, mode, code):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({
+            **FAST, "snapshots": 3, "compensation": mode,
+            "forecaster": {"kind": "ar", "order": 24}, "horizon": {"l_win": 48},
+        }))
+        assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == code
+        assert ("too short for AR order 24" in capsys.readouterr().err) == bool(code)
+
+    @pytest.mark.parametrize("seed", ["attitude", "placement", "channel", "admission", "--seed"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, seed):
+        out = tmp_path / "out"
+        if seed == "--seed":
+            argv = ["gen-telemetry", "--seed", "-2", "--length", "50", "--out", str(out)]
+            want = "error: --seed -2: seeds.attitude must be >= 0"
+        else:
+            scen = tmp_path / "scen.json"
+            scen.write_text(json.dumps({**FAST, "seeds": {seed: -1}}))
+            argv = ["run", "--config", str(scen), "--out", str(out)]
+            want = f"error: seeds.{seed} must be >= 0"
+        assert self.run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(want) and "Traceback" not in err, err
+        assert not out.exists()
 
     def test_missing_telemetry_exit_3(self, tmp_path):
         assert self.run_cli(
