@@ -67,7 +67,6 @@ from .geometry import (
 from .harness import (
     RunResult,
     ScenarioConfig,
-    admission_priority_variant,
     generate_attitude_series,
     place_users,
     run_experiment,
@@ -76,6 +75,7 @@ from .harness import (
 from .io import (
     emit_results,
     load_calibration_report,
+    load_config_json,
     load_forecast_csv,
     load_telemetry_csv,
     read_snapshots_csv,

@@ -29,22 +29,13 @@ from .harness import (
 )
 from .io import (
     emit_results,
+    load_config_json,
     load_telemetry_csv,
     save_calibration_report,
     save_forecast_csv,
     save_telemetry_csv,
     write_json,
 )
-
-
-def _load_config(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
-    try:
-        return json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{p}: invalid JSON ({exc})") from None
 
 
 def _check_flags(flags: str, build_spec) -> None:
@@ -139,7 +130,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = ScenarioConfig.from_dict(_load_config(args.config))
+    config = ScenarioConfig.from_dict(load_config_json(args.config))
     result = run_experiment(config)
     paths = emit_results(result, args.out, args.format)
     agg = result.aggregates
@@ -154,19 +145,21 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    raw = _load_config(args.config)
+    """Build and check every cell, then run them one at a time; each cell's
+    directory and the index of the cells so far are written as it finishes,
+    so a failing cell keeps the finished ones."""
+    raw = load_config_json(args.config)
     if not isinstance(raw, dict) or "axes" not in raw:
         raise ConfigError("sweep config must contain an 'axes' mapping")
     unknown = sorted(set(raw) - {"base", "axes"})
     if unknown:
         raise ConfigError(f"unknown key(s) in sweep config: {', '.join(unknown)}")
-    base = raw.get("base", {})
-    cells = sweep(base, raw["axes"])
+    cells = sweep(raw.get("base", {}), raw["axes"])
     out = Path(args.out)
     index = []
-    for i, (overrides, result) in enumerate(cells):
-        cell_dir = out / f"cell_{i:03d}"
-        emit_results(result, cell_dir, args.format)
+    for i, (overrides, config) in enumerate(cells):
+        result = run_experiment(config)
+        emit_results(result, out / f"cell_{i:03d}", args.format)
         agg = result.aggregates
         index.append(
             {
@@ -177,13 +170,12 @@ def cmd_sweep(args) -> int:
                 "mean_feasible": agg["mean_feasible"],
             }
         )
+        write_json(out / "index.json", index)
         keys = ", ".join(f"{k}={v}" for k, v in sorted(overrides.items()))
         print(
             f"cell {i:03d} [{keys}]: QAR {agg['mean_QAR']:.4f}, "
             f"sum-rate {agg['mean_sum_rate']:.4f}"
         )
-    out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "index.json", index, sort_keys=False)
     print(f"wrote {len(cells)} cells under {out}")
     return 0
 

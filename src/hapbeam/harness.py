@@ -10,6 +10,7 @@ the map is order-independent and bit-reproducible; this implementation
 runs it as an ordered serial loop.
 """
 
+import copy
 import itertools
 import math
 import numbers
@@ -345,11 +346,6 @@ class ScenarioConfig:
         return cls(**kwargs)
 
 
-def admission_priority_variant(config: ScenarioConfig, priority: str) -> ScenarioConfig:
-    """Same scenario with the admission ranking replaced."""
-    return replace(config, admission=replace(config.admission, priority=priority))
-
-
 def generate_attitude_series(
     seed: int,
     length: int,
@@ -650,7 +646,9 @@ def _set_path(raw: dict, dotted: str, value) -> None:
 def sweep(base: dict, axes: dict) -> list:
     """Cross product of config overrides.  `axes` maps dotted config paths
     (for example users.count) to value lists; cells are enumerated in sorted
-    key order and returned as (overrides, RunResult) pairs."""
+    key order and returned as (overrides, ScenarioConfig) pairs.  Every
+    cell's config is built, and so checked, before any is returned; running
+    them is the caller's job."""
     if not isinstance(base, dict):
         raise ConfigError(f"sweep base must be a mapping, got {type(base).__name__}")
     if not isinstance(axes, dict):
@@ -663,15 +661,9 @@ def sweep(base: dict, axes: dict) -> list:
             raise ConfigError(f"sweep axis {name!r} must list at least one value")
     cells = []
     for combo in itertools.product(*(axes[n] for n in names)):
-        raw = _deep_copy_dict(base)
+        raw = copy.deepcopy(base)
         overrides = dict(zip(names, combo))
         for dotted, value in overrides.items():
             _set_path(raw, dotted, value)
-        cells.append((overrides, run_experiment(ScenarioConfig.from_dict(raw))))
+        cells.append((overrides, ScenarioConfig.from_dict(raw)))
     return cells
-
-
-def _deep_copy_dict(d: dict) -> dict:
-    return {
-        k: _deep_copy_dict(v) if isinstance(v, dict) else v for k, v in d.items()
-    }

@@ -1,5 +1,7 @@
 """File formats: telemetry CSV, forecast-replay CSV, per-snapshot results,
-summary JSON and the calibration report.
+summary JSON and the calibration report, and the reader of the scenario
+and sweep config JSON.  No other module opens, reads, writes or creates a
+file or directory.
 
 Angles cross the disk boundary as decimal-degree text produced by the
 high-precision converters in units.py, so a save/load cycle returns the
@@ -8,10 +10,11 @@ reader inverts exactly; two identical runs therefore produce byte-identical
 snapshot tables.
 
 The three CSV formats share one writer (LF line ends) and one strict
-reader: a missing file is a DataError; the header must match after
-stripping; blank lines are skipped; every row has one field per column;
-and a cell that does not parse raises a ParseError naming the path, the
-file line (the header is line 1) and the column.
+reader: the header must match after stripping; blank lines are skipped;
+every row has one field per column; and a cell that does not parse raises
+a ParseError naming the path, the file line (the header is line 1) and the
+column.  Every reader reports a path it cannot read (missing, a directory,
+no permission) as a DataError "cannot read <path>: <reason>".
 """
 
 import json
@@ -63,9 +66,9 @@ SNAPSHOT_COLUMNS = {
 REPORT_KEYS = {"delta_omega_rad": float, "rho": float, "n": int, "d": int, "h_pred": int}
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_text(path: Path) -> str:
     try:
-        return path.read_text().splitlines()
+        return path.read_text()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
@@ -76,7 +79,7 @@ def _read_table(path, columns: dict) -> list[tuple[int, list]]:
     """(file line, parsed cells) of every row of a CSV table whose header
     lists the keys of `columns`; each value parses one column's cells."""
     path = Path(path)
-    lines = _read_lines(path)
+    lines = _read_text(path).splitlines()
     header = ",".join(columns)
     if not lines or lines[0].strip() != header:
         raise ParseError(f"{path}: expected header {header!r}")
@@ -97,6 +100,16 @@ def _read_table(path, columns: dict) -> list[tuple[int, list]]:
                 raise ParseError(f"{path}: row {n}, column {name}: {text!r}") from None
         rows.append((n, cells))
     return rows
+
+
+def load_config_json(path):
+    """The parsed content of a scenario or sweep config file.  Its fields
+    are checked where the config is built; invalid JSON is a ConfigError."""
+    path = Path(path)
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _write_lines(path, lines) -> None:
@@ -209,7 +222,7 @@ def load_calibration_report(path) -> CalibrationReport:
     no other key, and each value in its range."""
     path = Path(path)
     text = {}
-    for i, line in enumerate(_read_lines(path), start=1):
+    for i, line in enumerate(_read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -269,8 +282,8 @@ def _result_payload(result, include_snapshots: bool) -> dict:
     return payload
 
 
-def write_json(path, payload, sort_keys: bool = True) -> None:
-    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=sort_keys)])
+def write_json(path, payload) -> None:
+    _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
 def write_summary_json(path, result, include_snapshots: bool = False) -> None:

@@ -9,7 +9,7 @@ error is certified.  The solve pipeline:
    at a matched-filter equal-power initialization;
 2. the digital beamformer is rebuilt in closed form from those scalars and
    one eigendecomposition per admitted set, with the power constraint met by
-   a bisected dual variable and a final exact scaling projection; each
+   a bisected dual variable and a final scaling projection; each
    trial dual reads its power from a small per-set quadratic form in the
    eigenbasis, so the beamformer itself is built once, at the chosen dual;
 3. strict repair drops the worst-violating admitted user until every
@@ -33,6 +33,7 @@ from .errors import ConfigError, InvariantError
 
 EPS_PI = 1e-12  # guards the per-user power proxy against zero channels
 EPS_P = 1e-12  # guards the power projection against zero power
+SHRINK = 1.0 - 4 * np.finfo(float).eps  # project_power's step when rounding ends over budget
 REG_REL = 1e-9  # relative ridge for the KKT solve, scaled by tr(C)/N_RF
 W_CLAMP = (1.0, 1e6)  # MMSE weight clamp
 MAX_DOUBLINGS = 60
@@ -46,8 +47,8 @@ class SnapshotProblem:
 
     h_eff rows are h_eff_k^H (effective channel after the analog stage);
     analog_gram is A^H A so transmit power ||A D||_F^2 is measurable
-    without the full element-domain beamformer (None means identity, i.e.
-    orthonormal analog columns).
+    without the full element-domain beamformer (`build` stores the identity,
+    i.e. orthonormal analog columns, when none is given).
     """
 
     h_eff: np.ndarray  # (K, N_RF) complex
@@ -57,7 +58,7 @@ class SnapshotProblem:
     bandwidth: float  # hertz
     circuit_power: float  # watts, enters energy efficiency only
     certified: np.ndarray  # (K,) bool
-    analog_gram: np.ndarray | None  # (N_RF, N_RF) Hermitian PSD or None
+    analog_gram: np.ndarray  # (N_RF, N_RF) Hermitian PSD
 
     @classmethod
     def build(
@@ -95,19 +96,18 @@ class SnapshotProblem:
         )
         if certified.shape != (K,):
             raise ConfigError(f"certified mask must be ({K},), got {certified.shape}")
-        if analog_gram is not None:
-            analog_gram = np.asarray(analog_gram, dtype=complex)
-            n = h_eff.shape[1]
-            if analog_gram.shape != (n, n):
-                raise ConfigError(
-                    f"analog gram must be ({n}, {n}), got {analog_gram.shape}"
-                )
-            if not np.all(np.isfinite(analog_gram)):
-                raise ConfigError("analog_gram must be finite")
-            if np.max(np.abs(analog_gram - analog_gram.conj().T)) > 1e-9 * max(
-                1.0, float(np.max(np.abs(analog_gram)))
-            ):
-                raise ConfigError("analog gram must be Hermitian")
+        n = h_eff.shape[1]
+        if analog_gram is None:
+            analog_gram = np.eye(n, dtype=complex)
+        analog_gram = np.asarray(analog_gram, dtype=complex)
+        if analog_gram.shape != (n, n):
+            raise ConfigError(f"analog gram must be ({n}, {n}), got {analog_gram.shape}")
+        if not np.all(np.isfinite(analog_gram)):
+            raise ConfigError("analog_gram must be finite")
+        if np.max(np.abs(analog_gram - analog_gram.conj().T)) > 1e-9 * max(
+            1.0, float(np.max(np.abs(analog_gram)))
+        ):
+            raise ConfigError("analog gram must be Hermitian")
         return cls(
             h_eff,
             r_min,
@@ -160,17 +160,21 @@ def required_power_proxy(problem: SnapshotProblem) -> np.ndarray:
 
 
 def transmit_power(problem: SnapshotProblem, D: np.ndarray) -> float:
-    """||A D||_F^2 through the analog Gram (identity when absent)."""
-    if problem.analog_gram is None:
-        return float(np.sum(np.abs(D) ** 2))
+    """||A D||_F^2 through the analog Gram."""
     return float(np.vdot(D, problem.analog_gram @ D).real)
 
 
 def project_power(problem: SnapshotProblem, D: np.ndarray) -> np.ndarray:
-    """Exact feasibility projection: scale by min(1, sqrt(P_max / power))."""
+    """Feasibility projection: scale by min(1, sqrt(P_max / power)).  The
+    square root and the scaling round, so a scaled D that still measures
+    above P_max is shrunk until `transmit_power` is within the budget."""
     p = transmit_power(problem, D)
     scale = min(1.0, np.sqrt(problem.p_max / (p + EPS_P)))
-    return D * scale
+    out = D * scale
+    while p > problem.p_max and transmit_power(problem, out) > problem.p_max:
+        scale *= SHRINK
+        out = D * scale
+    return out
 
 
 def predict_admission_and_scalars(
@@ -277,17 +281,14 @@ def kkt_power(problem: SnapshotProblem, eig: tuple):
     shift, eig)) for the decomposition `eig` of `kkt_decompose`, without
     building D: with D = U diag(s) Z and s = 1/(lam + shift), the power is
     s^T P s for the real PSD (N_RF, N_RF) matrix P = Re((U^H G U) o conj(Z
-    Z^H)), G the analog Gram (P = diag(||Z_i||^2) when G is the identity).
+    Z^H)), G the analog Gram.
     P is formed once here; each shift then costs one small quadratic form.
     An empty admitted set (no columns, lam = 0) has power 0 at every shift.
     """
     idx, U, lam, Z = eig
     if not idx.size:
         return lambda shift: 0.0
-    if problem.analog_gram is None:
-        P = np.diag(np.sum(np.abs(Z) ** 2, axis=1))
-    else:
-        P = ((U.conj().T @ problem.analog_gram @ U) * (Z @ Z.conj().T).conj()).real
+    P = ((U.conj().T @ problem.analog_gram @ U) * (Z @ Z.conj().T).conj()).real
 
     def power(shift: float) -> float:
         s = 1.0 / (lam + shift)

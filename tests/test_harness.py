@@ -1,10 +1,13 @@
+import ast
 import json
 from dataclasses import MISSING, fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hapbeam.cli as cli
 from hapbeam.cli import main
 from hapbeam.errors import ConfigError, DataError, ParseError, UncoveredSlotError, exit_code_for
 from hapbeam.forecast import AttitudeSeries, ForecastRequest, forecast_ar
@@ -23,7 +26,6 @@ from hapbeam.harness import (
     ScenarioConfig,
     SeedSpec,
     UserSpec,
-    admission_priority_variant,
     generate_attitude_series,
     place_users,
     required_series_length,
@@ -192,14 +194,6 @@ class TestScenarioConfig:
     def test_non_mapping_section(self):
         with pytest.raises(ConfigError, match="'users' must be a mapping"):
             ScenarioConfig.from_dict({"users": 4})
-
-    def test_priority_variant(self):
-        cfg = ScenarioConfig.from_dict({})
-        cg = admission_priority_variant(cfg, "channel-gain")
-        assert cg.admission.priority == "channel-gain"
-        assert cfg.admission.priority == "qos-difficulty"
-        with pytest.raises(ConfigError):
-            admission_priority_variant(cfg, "favorites")
 
     def test_external_kind_requires_path(self):
         with pytest.raises(ConfigError):
@@ -482,18 +476,24 @@ class TestRunExperiment:
 
 
 class TestSweep:
-    def test_cross_product_and_determinism(self):
-        cells = sweep(
+    def test_cross_product_and_determinism(self, monkeypatch):
+        def no_run(config):
+            raise AssertionError("sweep only builds the grid")
+
+        monkeypatch.setattr(harness, "run_experiment", no_run)
+        grid = (
             {**FAST, "snapshots": 8},
             {"compensation": ["ideal", "none"], "users.count": [3, 4]},
         )
+        cells = sweep(*grid)
         assert len(cells) == 4
         combos = {tuple(sorted(o.items())) for o, _ in cells}
         assert len(combos) == 4
-        for overrides, res in cells:
-            assert res.config.compensation == overrides["compensation"]
-            assert res.config.users.count == overrides["users.count"]
-            assert np.all(res.snapshots["feasible"] == 1.0)
+        assert sweep(*grid) == cells
+        for overrides, config in cells:
+            assert config.compensation == overrides["compensation"]
+            assert config.users.count == overrides["users.count"]
+            assert np.all(run_experiment(config).snapshots["feasible"] == 1.0)
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ConfigError):
@@ -583,6 +583,28 @@ class TestIo:
         with pytest.raises(DataError, match="cannot read") as info:
             load(tmp_path / "missing.csv")
         assert exit_code_for(info.value) == 3
+
+    def test_only_io_touches_files(self):
+        # the builtin open, the Path methods that read, write or create, and
+        # json's file readers and writers; json.dumps to stdout is allowed
+        path_methods = {"open", "read_text", "write_text", "read_bytes", "write_bytes",
+                        "mkdir", "exists"}
+        found = []
+        for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+            if path.name == "io.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Name) and node.id == "open":
+                    name = "open"
+                elif isinstance(node, ast.Attribute) and node.attr in path_methods:
+                    name = f".{node.attr}"
+                elif (isinstance(node, ast.Attribute) and node.attr in ("load", "dump")
+                      and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                    name = f"json.{node.attr}"
+                else:
+                    continue
+                found.append(f"{path.name}:{node.lineno}: {name}")
+        assert found == []
 
     def test_snapshots_round_trip(self, tmp_path):
         res = run_experiment(ScenarioConfig.from_dict({**FAST, "snapshots": 6}))
@@ -779,6 +801,65 @@ class TestCli:
         ) == 0
         payload = json.loads((out / "cell_000" / "summary.json").read_text())
         assert len(payload["per_snapshot"]["QAR"]) == 4
+
+    def test_sweep_keeps_finished_cells(self, tmp_path, capsys):
+        # the third cell's forecast mode reads a missing replay file; the two
+        # cells before it are on disk, each as `run` writes its config
+        missing = tmp_path / "nope.csv"
+        base = {**FAST, "snapshots": 3,
+                "forecaster": {"kind": "external", "path": str(missing)}}
+        modes = ["ideal", "none", "forecast"]
+        scen = tmp_path / "sweep.json"
+        scen.write_text(json.dumps({"base": base, "axes": {"compensation": modes}}))
+        out = tmp_path / "sw"
+        assert self.run_cli("sweep", "--config", str(scen), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(missing) in err
+        assert sorted(p.name for p in out.iterdir()) == ["cell_000", "cell_001", "index.json"]
+        index = json.loads((out / "index.json").read_text())
+        assert [(c["cell"], c["overrides"]) for c in index] == [
+            (0, {"compensation": "ideal"}), (1, {"compensation": "none"})
+        ]
+        for i, mode in enumerate(modes[:2]):
+            cfg = tmp_path / f"{mode}.json"
+            cfg.write_text(json.dumps({**base, "compensation": mode}))
+            assert self.run_cli("run", "--config", str(cfg), "--out", str(tmp_path / mode)) == 0
+            for name in ("snapshots.csv", "summary.json", "calibration.txt"):
+                cell = (out / f"cell_{i:03d}" / name).read_bytes()
+                assert cell == (tmp_path / mode / name).read_bytes(), (mode, name)
+
+    def test_sweep_checks_every_cell_before_running_any(self, tmp_path, monkeypatch, capsys):
+        ran = []
+        for module in (cli, harness):
+            monkeypatch.setattr(module, "run_experiment", ran.append)
+        scen = tmp_path / "sweep.json"
+        scen.write_text(json.dumps({
+            "base": {**FAST, "snapshots": 3}, "axes": {"users.count": [3, 0]},
+        }))
+        out = tmp_path / "sw"
+        assert self.run_cli("sweep", "--config", str(scen), "--out", str(out)) == 2
+        assert "users.count must be >= 1" in capsys.readouterr().err
+        assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_config_exit_3(self, tmp_path, capsys, command, kind):
+        config = tmp_path / "config.json"
+        if kind == "directory":
+            config.mkdir()
+        out = tmp_path / "o"
+        assert self.run_cli(command, "--config", str(config), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {config}: "), err
+        assert "Traceback" not in err and "Errno" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_invalid_json_config_exit_2(self, tmp_path, capsys, command):
+        config = tmp_path / "config.json"
+        config.write_text('{"snapshots": ')
+        assert self.run_cli(command, "--config", str(config), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: invalid JSON")
 
     def test_sweep_unknown_key_exit_2(self, tmp_path):
         scen = tmp_path / "sweep.json"

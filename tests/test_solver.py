@@ -310,12 +310,26 @@ class TestBisection:
         ]
         assert np.all(np.diff(powers) <= 1e-12)
 
-    def test_projection_enforces_budget(self):
+    @pytest.mark.parametrize("gram", ["none", "identity", "steering"])
+    def test_projection_enforces_budget(self, gram):
+        # sqrt(P_max / power) and the scaling round, so many draws are needed
+        # to meet a scaled power that rounds above the budget
         rng = np.random.default_rng(17)
-        prob = random_problem(17, p_max=0.2)
-        D = rng.standard_normal((prob.h_eff.shape[1], prob.num_users)) * 10.0
-        Dp = project_power(prob, D.astype(complex))
-        assert transmit_power(prob, Dp) <= prob.p_max
+        N, K = 10, 6
+        A = np.exp(2j * np.pi * rng.random((64, N))) / 8.0  # constant-modulus columns
+        analog_gram = {"none": None, "identity": np.eye(N), "steering": A.conj().T @ A}[gram]
+        H = _crandn(rng, K, N)
+        for _ in range(1000):
+            p_max = 10.0 ** rng.uniform(-2, 2)
+            prob = SnapshotProblem.build(H, r_min=1.0, p_max=p_max, noise_power=0.1,
+                                         analog_gram=analog_gram)
+            D = _crandn(rng, N, K) * 10.0 ** rng.uniform(-1, 2)
+            p = transmit_power(prob, D)
+            Dp = project_power(prob, D)
+            if p <= p_max:
+                assert Dp.tobytes() == D.tobytes()
+            else:
+                assert (1 - 1e-9) * p_max <= transmit_power(prob, Dp) <= p_max
 
 
 class TestDualPower:
@@ -325,7 +339,7 @@ class TestDualPower:
         "case", ["rank-deficient", "near-collinear", "analog-gram", "random"]
     )
     def test_eigenbasis_power_matches_beamformer(self, case):
-        if case == "random":  # analog_gram None, K = N_RF
+        if case == "random":  # identity analog Gram, K = N_RF
             prob = random_problem(33, certify_frac=1.0)
             mask = prob.certified.copy()
         else:
@@ -333,10 +347,8 @@ class TestDualPower:
         sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
         power = kkt_power(prob, kkt_decompose(prob, mask, sc))
         N = prob.h_eff.shape[1]
-        gram = prob.analog_gram
         # the same sums of N_RF-term products in another order, weighted by G
-        cond = 1.0 if gram is None else np.linalg.cond(gram)
-        tol = 100 * N * np.finfo(float).eps * cond
+        tol = 100 * N * np.finfo(float).eps * np.linalg.cond(prob.analog_gram)
         for nu in KKT_SHIFTS:
             for ridge in (0.0, 0.5):
                 ref = transmit_power(prob, kkt_reconstruct(prob, mask, sc, nu + ridge))
