@@ -46,9 +46,11 @@ from .errors import (
 )
 from .forecast import (
     AttitudeSeries,
+    DirectForecaster,
     ForecastErrorReport,
     ForecastOutput,
     ForecastRequest,
+    fit_direct,
     forecast_ar,
     forecast_errors,
     forecast_linear_trend,

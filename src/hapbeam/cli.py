@@ -197,7 +197,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_telemetry)
 
-    horizon, fc = HorizonSpec(), ForecastSpec()
+    # a telemetry file has no training split to fit the direct kind on, so
+    # these subcommands keep the per-window AR baseline
+    horizon, fc = HorizonSpec(), ForecastSpec(kind="ar", order=24)
     for name, fn in (("forecast-eval", cmd_forecast_eval), ("calibrate", cmd_calibrate)):
         p = sub.add_parser(
             name,

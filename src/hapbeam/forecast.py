@@ -2,9 +2,12 @@
 
 A forecaster sees a causal look-back window of yaw/pitch/roll samples ending
 at the origin slot t and emits one attitude per horizon h in {1, .., H_pred}.
-Yaw is treated as a circular quantity everywhere: the linear-trend fit
-unwraps it, the autoregressive fit works on its sine/cosine pair, and all
-errors are computed through the wrapped difference.
+The persistence, linear-trend and autoregressive forecasters fit nothing
+ahead of time; the direct forecaster is fitted once on a training prefix
+of the series.  Yaw is treated as a circular quantity everywhere: the
+linear-trend fit unwraps it, the autoregressive and direct fits work on its
+sine/cosine pair, and all errors are computed through the wrapped
+difference.
 """
 
 from dataclasses import dataclass
@@ -171,6 +174,85 @@ def forecast_ar(
     yaw = np.where(norm > 1e-12, np.arctan2(s, c), w[-1, 0])
     angles = np.column_stack([wrap_pi(yaw), cols["pitch"], cols["roll"]])
     return ForecastOutput(req.origin, angles, f"ar{order}")
+
+
+# ---------------------------------------------------------------------------
+# Direct multi-horizon forecaster, fitted once
+# ---------------------------------------------------------------------------
+
+DIRECT_RIDGE = 1e-6  # ridge on the normal equations of the direct fit
+_FIT_BLOCK = 32  # design rows built at a time while accumulating the fit
+
+
+def _channels(samples: np.ndarray) -> np.ndarray:
+    """(N, 4) sin yaw, cos yaw, pitch, roll: the regression channels, so the
+    +-pi yaw seam never enters a fit."""
+    yaw = samples[:, 0]
+    return np.column_stack([np.sin(yaw), np.cos(yaw), samples[:, 1], samples[:, 2]])
+
+
+def _lag_features(z: np.ndarray, t: int, order: int) -> np.ndarray:
+    """Feature row of origin t: channels z[t], z[t-1], .., z[t-order+1]
+    (newest first), then an intercept."""
+    return np.append(z[t - order + 1 : t + 1][::-1].ravel(), 1.0)
+
+
+@dataclass(frozen=True)
+class DirectForecaster:
+    """Direct multi-horizon linear forecaster (Ben Taieb et al., Expert
+    Syst. Appl. 2012): one weight column per horizon and channel, so every
+    origin is one matrix-vector product and no forecast feeds another.
+    Called as (series, request) like the per-window forecasters."""
+
+    weights: np.ndarray  # (4 * order + 1, 4 * h_pred)
+    order: int  # lags per channel
+    h_pred: int
+    rows: int  # training origins the fit used
+
+    def __call__(self, series: AttitudeSeries, req: ForecastRequest) -> ForecastOutput:
+        if req.h_pred != self.h_pred or req.l_win < self.order:
+            raise ValueError(
+                f"direct{self.order} was fitted for h_pred={self.h_pred} and "
+                f"needs l_win >= {self.order}; got h_pred={req.h_pred}, l_win={req.l_win}"
+            )
+        w = _window(series, req)[-self.order :]
+        x = _lag_features(_channels(w), self.order - 1, self.order)
+        y = (x @ self.weights).reshape(self.h_pred, 4)
+        s, c = y[:, 0], y[:, 1]
+        yaw = np.where(np.hypot(s, c) > 1e-12, np.arctan2(s, c), w[-1, 0])
+        angles = np.column_stack([wrap_pi(yaw), y[:, 2], y[:, 3]])
+        return ForecastOutput(req.origin, angles, f"direct{self.order}")
+
+
+def fit_direct(
+    series: AttitudeSeries, train_end: int, order: int, h_pred: int
+) -> DirectForecaster:
+    """Fit the direct forecaster on samples [0, train_end) only: every origin
+    whose target window closes before train_end is one row, and the ridge
+    normal equations are accumulated over row blocks, so the whole design
+    matrix is never held."""
+    if order < 1:
+        raise ValueError(f"direct order must be >= 1, got {order}")
+    z = _channels(series.samples[:train_end])
+    # fit origins: t >= order - 1 (a full look-back) and t + h_pred < train_end
+    stop = len(z) - h_pred
+    n_rows = stop - order + 1
+    if n_rows < 1:
+        raise DataError(
+            f"training split of {len(z)} samples holds no fit row for "
+            f"{order} lags and {h_pred} horizons"
+        )
+    n_feat = 4 * order + 1
+    gram = DIRECT_RIDGE * np.eye(n_feat)
+    cross = np.zeros((n_feat, 4 * h_pred))
+    for lo in range(order - 1, stop, _FIT_BLOCK):
+        block = range(lo, min(lo + _FIT_BLOCK, stop))
+        X = np.array([_lag_features(z, t, order) for t in block])
+        Y = np.array([z[t + 1 : t + h_pred + 1].ravel() for t in block])
+        gram += X.T @ X
+        cross += X.T @ Y
+    weights = np.linalg.solve(gram, cross)
+    return DirectForecaster(weights, order, h_pred, n_rows)
 
 
 # ---------------------------------------------------------------------------

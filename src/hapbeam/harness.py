@@ -36,6 +36,7 @@ from .forecast import (
     ForecastErrorReport,
     ForecastOutput,
     ForecastRequest,
+    fit_direct,
     forecast_ar,
     forecast_errors,
     forecast_linear_trend,
@@ -59,7 +60,8 @@ CHANNEL_PRESETS = {
 USER_LAYOUTS = ("uniform", "clustered", "edge-biased")
 COMPENSATION_MODES = ("none", "reactive", "forecast", "ideal")
 LOCAL_FORECASTERS = ("persistence", "linear", "ar")
-FORECASTER_KINDS = LOCAL_FORECASTERS + ("external",)
+# direct is fitted once per run on the training split, external is replayed
+FORECASTER_KINDS = LOCAL_FORECASTERS + ("direct", "external")
 ADMISSION_PRIORITIES = ("qos-difficulty", "channel-gain", "random")
 OBJECTIVES = ("sum-rate", "ee")
 
@@ -227,8 +229,8 @@ class HorizonSpec:
 
 @dataclass(frozen=True)
 class ForecastSpec:
-    kind: str = "ar"
-    order: int = 24
+    kind: str = "direct"
+    order: int = 48  # AR order, or lags per channel for the direct kind
     path: str = ""  # external replay CSV
 
     def __post_init__(self):
@@ -320,10 +322,10 @@ class ScenarioConfig:
             raise ConfigError("snapshots must be >= 1")
         # only the forecast mode runs the configured forecaster
         horizon, fc = self.horizon, self.forecaster
-        runs_ar = self.compensation == "forecast" and fc.kind == "ar"
-        if runs_ar and horizon.l_win < 4 * fc.order:
+        model = {"ar": "AR", "direct": "direct"}.get(fc.kind)
+        if self.compensation == "forecast" and model and horizon.l_win < 4 * fc.order:
             raise ConfigError(
-                f"horizon.l_win {horizon.l_win} too short for AR order "
+                f"horizon.l_win {horizon.l_win} too short for {model} order "
                 f"{fc.order}; need l_win >= 4 * order"
             )
 
@@ -454,13 +456,20 @@ MODE_SOURCES = {
 
 def required_series_length(config: ScenarioConfig) -> int:
     """Shortest series whose 70/10/20 split holds the calibration windows,
-    the warmup history, and every evaluation snapshot."""
+    the warmup history, every evaluation snapshot and, for a direct
+    forecaster, twice as many training fit rows as the fit has unknowns."""
     hz = config.horizon
     need_test = config.snapshots + hz.delay + hz.h_pred + 2
     need_train = int(np.ceil((hz.l_win + hz.h_pred + 2) / TRAIN_FRAC)) + 10
     need_val = int(np.ceil((hz.h_pred + 6) / VAL_FRAC))
+    fc = config.forecaster
+    need_fit = 0
+    if config.compensation == "forecast" and fc.kind == "direct":
+        # two fit rows per unknown; the +1 absorbs the rounding of int(0.7 * n)
+        fit_end = 2 * (4 * fc.order + 1) + hz.h_pred + fc.order - 1
+        need_fit = int(np.ceil(fit_end / TRAIN_FRAC)) + 1
     return max(int(np.ceil(need_test / (1.0 - TRAIN_FRAC - VAL_FRAC))),
-               need_train, need_val)
+               need_train, need_val, need_fit)
 
 
 @dataclass(frozen=True)
@@ -514,6 +523,8 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
     fc = config.forecaster
     if config.compensation in MODE_SOURCES:
         source = MODE_SOURCES[config.compensation]
+    elif fc.kind == "direct":
+        source = fit_direct(series, t_train_end, fc.order, hz.h_pred)
     elif fc.kind != "external":
         source = forecaster(fc.kind, fc.order)
     else:

@@ -7,6 +7,7 @@ from hapbeam.forecast import (
     AttitudeSeries,
     ForecastOutput,
     ForecastRequest,
+    fit_direct,
     forecast_ar,
     forecast_errors,
     forecast_linear_trend,
@@ -158,6 +159,91 @@ class TestAutoregressive:
         out = forecast_ar(s, r, order=4)
         assert out.tag == "ar4+linear-fallback"
         np.testing.assert_array_equal(out.angles, forecast_linear_trend(s, r).angles)
+
+
+class TestDirect:
+    TRAIN_END = 420
+
+    def noisy_series(self, seed=5, n=600):
+        rng = np.random.default_rng(seed)
+        walk = np.cumsum(rng.standard_normal((n, 3)), axis=0) * 2e-3
+        walk[:, 0] += np.pi  # yaw wanders across the seam
+        return AttitudeSeries.build(0.1, walk)
+
+    def test_fit_sees_training_samples_only(self):
+        s = self.noisy_series()
+        base = fit_direct(s, self.TRAIN_END, 24, 12)
+        assert base.rows == self.TRAIN_END - 12 - 24 + 1
+        later = s.samples.copy()
+        later[self.TRAIN_END :] += 0.3
+        moved = fit_direct(AttitudeSeries.build(0.1, later), self.TRAIN_END, 24, 12)
+        assert np.array_equal(moved.weights, base.weights)
+        # the last training sample is a target of the last fit row
+        last = s.samples.copy()
+        last[self.TRAIN_END - 1, 1] += 1e-3
+        nudged = fit_direct(AttitudeSeries.build(0.1, last), self.TRAIN_END, 24, 12)
+        assert not np.array_equal(nudged.weights, base.weights)
+
+    def test_forecast_is_causal(self):
+        s = self.noisy_series()
+        f = fit_direct(s, self.TRAIN_END, 24, 12)
+        for t in (450, 500, 587):
+            future = s.samples.copy()
+            future[t + 1 :] = -future[t + 1 :]
+            got = f(AttitudeSeries.build(0.1, future), req(t, l_win=96))
+            assert np.array_equal(got.angles, f(s, req(t, l_win=96)).angles)
+            assert got.tag == "direct24"
+
+    def test_blocked_fit_matches_whole_design(self):
+        s = self.noisy_series(seed=9)
+        order, h_pred = 8, 5
+        f = fit_direct(s, self.TRAIN_END, order, h_pred)
+        z = np.column_stack([np.sin(s.samples[:, 0]), np.cos(s.samples[:, 0]),
+                             s.samples[:, 1], s.samples[:, 2]])
+        origins = range(order - 1, self.TRAIN_END - h_pred)
+        X = np.array([[*z[t - order + 1 : t + 1][::-1].ravel(), 1.0] for t in origins])
+        Y = np.array([z[t + 1 : t + h_pred + 1].ravel() for t in origins])
+        ref = np.linalg.solve(X.T @ X + fc.DIRECT_RIDGE * np.eye(X.shape[1]), X.T @ Y)
+        assert len(origins) == f.rows
+        # the normal equations are ill-conditioned (cos yaw sits near -1,
+        # beside the intercept), so compare the fitted values, not the weights
+        np.testing.assert_allclose(X @ f.weights, X @ ref, rtol=0, atol=1e-8)
+
+    def test_exact_on_noiseless_sinusoids(self):
+        # yaw rotates steadily through +-pi, so its sine and cosine are
+        # sinusoids; pitch and roll are sums of two sinusoids.  Every channel
+        # then obeys a linear recurrence the lags span.
+        n = np.arange(600, dtype=float)
+
+        def two_sines(a1, p1, a2, p2):
+            return a1 * np.sin(2 * np.pi * n / p1) + a2 * np.sin(2 * np.pi * n / p2 + 0.3)
+
+        yaw = fc.wrap_pi(2 * np.pi * n / 37.0 + 0.4)
+        s = series_from([yaw, two_sines(0.02, 20, 0.01, 7), two_sines(0.03, 13, 0.015, 31)])
+        f = fit_direct(s, self.TRAIN_END, 48, 12)
+        worst = 0.0
+        for t in range(self.TRAIN_END, 600 - 13):
+            diff = f(s, req(t, l_win=192)).angles - s.samples[t + 1 : t + 13]
+            diff[:, 0] = fc.wrap_pi(diff[:, 0])
+            worst = max(worst, np.max(np.abs(diff)))
+        assert worst < 1e-6
+
+    def test_request_must_match_the_fit(self):
+        s = self.noisy_series()
+        f = fit_direct(s, self.TRAIN_END, 24, 12)
+        with pytest.raises(ValueError, match="fitted for h_pred=12"):
+            f(s, req(500, h_pred=10))
+        with pytest.raises(ValueError, match="needs l_win >= 24"):
+            f(s, req(500, l_win=16))
+        with pytest.raises(DataError):
+            f(s, req(600))
+
+    def test_training_split_too_short(self):
+        s = self.noisy_series()
+        with pytest.raises(DataError, match="holds no fit row"):
+            fit_direct(s, 30, 24, 12)
+        with pytest.raises(ValueError):
+            fit_direct(s, self.TRAIN_END, 0, 12)
 
 
 class TestForecastCsv:

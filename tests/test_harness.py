@@ -10,7 +10,7 @@ import pytest
 import hapbeam.cli as cli
 from hapbeam.cli import main
 from hapbeam.errors import ConfigError, DataError, ParseError, UncoveredSlotError, exit_code_for
-from hapbeam.forecast import AttitudeSeries, ForecastRequest, forecast_ar
+from hapbeam.forecast import AttitudeSeries, ForecastRequest, fit_direct, forecast_ar
 from hapbeam.geometry import EulerZYX
 import hapbeam.harness as harness
 from hapbeam.harness import (
@@ -475,6 +475,68 @@ class TestRunExperiment:
         assert len(qars) == 1
 
 
+class TestDirectForecaster:
+    """The default forecast source: a direct forecaster fitted once per run
+    on the training split."""
+
+    def test_default_is_direct48(self):
+        assert (ForecastSpec().kind, ForecastSpec().order) == ("direct", 48)
+
+    def test_short_run_gets_two_fit_rows_per_unknown(self):
+        # criterion 12's config: 40 snapshots alone need only 305 samples
+        raw = {"snapshots": 40, "users": {"count": 6}}
+        cfg = ScenarioConfig.from_dict(raw)
+        length = required_series_length(cfg)
+        series = generate_attitude_series(cfg.seeds.attitude, length, cfg.horizon.dt_s)
+        fit = fit_direct(series, int(TRAIN_FRAC * length), 48, cfg.horizon.h_pred)
+        assert fit.rows >= 2 * (4 * 48 + 1) == 386
+        # no other mode or kind changes its series length
+        ar = {**raw, "forecaster": {"kind": "ar", "order": 24}}
+        base = required_series_length(ScenarioConfig.from_dict(ar))
+        assert base == 305 < length
+        for mode in ("none", "reactive", "ideal"):
+            for fc in (raw, ar):
+                cfg = ScenarioConfig.from_dict({**fc, "compensation": mode})
+                assert required_series_length(cfg) == base, mode
+
+    def test_replay_of_the_training_fit_matches_internal(self, tmp_path):
+        # the run fits on samples [0, t_train_end) and serves every
+        # calibration and evaluation origin from that one fit
+        raw = {**FAST, "forecaster": {"kind": "direct", "order": 12}}
+        cfg = ScenarioConfig.from_dict(raw)
+        internal = run_experiment(cfg)
+        emit_results(internal, tmp_path / "internal")
+        hz = cfg.horizon
+        length = required_series_length(cfg)
+        series = generate_attitude_series(cfg.seeds.attitude, length, hz.dt_s)
+        t_tr = int(TRAIN_FRAC * length)
+        t_val = int((TRAIN_FRAC + VAL_FRAC) * length)
+        fit = fit_direct(series, t_tr, 12, hz.h_pred)
+        origins = list(range(t_tr, t_val - hz.h_pred)) + [
+            int(s) - hz.delay - 1 for s in internal.eval_slots
+        ]
+        outs = [fit(series, ForecastRequest(t, hz.l_win, hz.h_pred, hz.delay)) for t in origins]
+        assert {o.tag for o in outs} == {"direct12"}
+        path = tmp_path / "forecasts.csv"
+        save_forecast_csv(path, outs)
+        ext = run_experiment(
+            ScenarioConfig.from_dict({**raw, "forecaster": {"kind": "external", "path": str(path)}})
+        )
+        emit_results(ext, tmp_path / "external")
+        for name in ("snapshots.csv", "summary.json", "calibration.txt"):
+            got = (tmp_path / "external" / name).read_bytes()
+            assert got == (tmp_path / "internal" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("mode", ["none", "reactive", "ideal"])
+    def test_fixed_modes_never_fit(self, monkeypatch, mode):
+        def refuse(*args, **kwargs):
+            raise AssertionError("direct forecaster fitted")
+
+        monkeypatch.setattr(harness, "fit_direct", refuse)
+        raw = {**FAST, "snapshots": 5, "compensation": mode, "forecaster": {}}
+        assert len(run_experiment(ScenarioConfig.from_dict(raw)).snapshots["snapshot"]) == 5
+
+
 class TestSweep:
     def test_cross_product_and_determinism(self, monkeypatch):
         def no_run(config):
@@ -754,6 +816,30 @@ class TestCli:
         }))
         assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == code
         assert ("too short for AR order 24" in capsys.readouterr().err) == bool(code)
+
+    @pytest.mark.parametrize("raw, message", [
+        ({"forecaster": {"kind": "direct", "order": 49}}, "too short for direct order 49"),
+        ({"horizon": {"l_win": 50}}, "too short for direct order 48"),
+    ])
+    def test_direct_window_rule_exit_2(self, tmp_path, capsys, raw, message):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(raw))
+        assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["forecast-eval", "calibrate"])
+    def test_telemetry_subcommands_default_to_ar24(self, tmp_path, capsys, command):
+        # a telemetry file has no training split, so the default stays AR(24)
+        tel = tmp_path / "tel.csv"
+        save_telemetry_csv(tel, generate_attitude_series(7, 400))
+        outputs = []
+        for extra in ([], ["--forecaster", "ar", "--order", "24"]):
+            out = tmp_path / f"out{len(extra)}"
+            argv = [command, "--telemetry", str(tel), "--stride", "20", "--out", str(out), *extra]
+            assert self.run_cli(*argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        capsys.readouterr()
 
     @pytest.mark.parametrize("seed", ["attitude", "placement", "channel", "admission", "--seed"])
     def test_negative_seed_exit_2(self, tmp_path, capsys, seed):
