@@ -1,8 +1,8 @@
 """One downlink snapshot end to end: channel, analog stage, digital solve.
 
 Builds a 12-user snapshot with a deliberately tight rate floor, walks
-through admission, dual bisection, strict repair, and safe refinement, and
-verifies the feasibility claims by direct recomputation.
+through admission, the Newton power-dual search, strict repair, and safe
+refinement, and verifies the feasibility claims by direct recomputation.
 """
 
 import numpy as np

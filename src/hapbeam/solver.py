@@ -8,10 +8,11 @@ error is certified.  The solve pipeline:
    difficulty and emits WMMSE-style scalars (u_k, w_k) from one MMSE pass
    at a matched-filter equal-power initialization;
 2. the digital beamformer is rebuilt in closed form from those scalars and
-   one eigendecomposition per admitted set, with the power constraint met by
-   a bisected dual variable and a final scaling projection; each
-   trial dual reads its power from a small per-set quadratic form in the
-   eigenbasis, so the beamformer itself is built once, at the chosen dual;
+   one eigendecomposition per admitted set, taken in the basis where the
+   analog Gram is the identity; there the transmit power along the dual is
+   the diagonal secular function sum c_i / (lam_i + nu)^2, a Newton search
+   meets the budget in a few evaluations, and the beamformer is built once,
+   at the chosen dual, before a final scaling projection;
 3. strict repair drops the worst-violating admitted user until every
    admitted rate clears its floor, then adds back any certified user that
    fits without breaking feasibility;
@@ -23,6 +24,7 @@ The output is feasible by construction: transmit power within budget and
 every admitted rate at or above its floor, with no exceptions.
 """
 
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -34,11 +36,10 @@ from .errors import ConfigError, InvariantError
 EPS_PI = 1e-12  # guards the per-user power proxy against zero channels
 EPS_P = 1e-12  # guards the power projection against zero power
 SHRINK = 1.0 - 4 * np.finfo(float).eps  # project_power's step when rounding ends over budget
-REG_REL = 1e-9  # relative ridge for the KKT solve, scaled by tr(C)/N_RF
+REG_REL = 1e-9  # relative ridge for the KKT solve and for a singular analog Gram
 W_CLAMP = (1.0, 1e6)  # MMSE weight clamp
-MAX_DOUBLINGS = 60
-MAX_BISECT = 40
-POWER_BAND = 0.99  # accept bisection iterates with power in [band, 1] * P_max
+MAX_BISECT = 40  # Newton steps per dual search
+POWER_BAND = 0.99  # the dual search aims at the middle of [band, 1] * P_max
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,10 @@ class SnapshotProblem:
     h_eff rows are h_eff_k^H (effective channel after the analog stage);
     analog_gram is A^H A so transmit power ||A D||_F^2 is measurable
     without the full element-domain beamformer (`build` stores the identity,
-    i.e. orthonormal analog columns, when none is given).
+    i.e. orthonormal analog columns, when none is given).  whitener is
+    W = L^{-H} for the Cholesky factor G = L L^H of the Gram, so the power
+    of D = W E is ||E||_F^2; when users share a direction and G is singular,
+    L factors G + REG_REL * tr(G)/N_RF * I instead.
     """
 
     h_eff: np.ndarray  # (K, N_RF) complex
@@ -59,6 +63,7 @@ class SnapshotProblem:
     circuit_power: float  # watts, enters energy efficiency only
     certified: np.ndarray  # (K,) bool
     analog_gram: np.ndarray  # (N_RF, N_RF) Hermitian PSD
+    whitener: np.ndarray  # (N_RF, N_RF) upper triangular L^{-H}
 
     @classmethod
     def build(
@@ -108,6 +113,16 @@ class SnapshotProblem:
             1.0, float(np.max(np.abs(analog_gram)))
         ):
             raise ConfigError("analog gram must be Hermitian")
+        try:
+            chol = np.linalg.cholesky(analog_gram)
+        except np.linalg.LinAlgError:
+            ridge = REG_REL * analog_gram.trace().real / n
+            try:
+                chol = np.linalg.cholesky(analog_gram + ridge * np.eye(n))
+            except np.linalg.LinAlgError:
+                raise ConfigError(
+                    "analog_gram must be positive semidefinite and nonzero"
+                ) from None
         return cls(
             h_eff,
             r_min,
@@ -117,6 +132,7 @@ class SnapshotProblem:
             float(circuit_power),
             certified,
             analog_gram,
+            np.linalg.inv(chol).conj().T,
         )
 
     @property
@@ -235,12 +251,16 @@ def kkt_decompose(
     problem: SnapshotProblem, admitted: np.ndarray, scalars: SolverScalars
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Eigendecompose C = sum over admitted of w |u|^2 h h^H once per
-    admitted set: (idx, U, lam, Z) with C + reg I = U diag(lam) U^H, the
-    eigenvalues of C clamped at 0, and Z = U^H rhs.  reg = REG_REL *
-    tr(C)/N_RF keeps rank-deficient C (fewer admitted users than chains at
-    nu = 0) solvable as the limit of the regularized path."""
+    admitted set, in the whitened basis where the analog Gram G is the
+    identity: (idx, B, lam, Z) with W^H C W + reg I = U diag(lam) U^H
+    (W = `problem.whitener`, the eigenvalues clamped at 0), basis B = W U
+    and Z = U^H W^H rhs.  Then B^H G B = I, so (C + nu G) D = rhs is solved
+    by D = B Z / (lam + nu) with power sum ||Z_i||^2 / (lam_i + nu)^2.
+    reg = REG_REL * tr(W^H C W)/N_RF keeps rank-deficient C (fewer admitted
+    users than chains at nu = 0) solvable as the limit of the regularized
+    path."""
     idx = np.flatnonzero(admitted)
-    Hm = problem.h_eff[idx]  # rows h_k^H
+    Hm = problem.h_eff[idx] @ problem.whitener  # rows (W^H h_k)^H
     C = (Hm.conj().T * (scalars.w[idx] * np.abs(scalars.u[idx]) ** 2)) @ Hm
     trace = C.trace().real
     if trace <= 0.0:  # scalars and right-hand sides all vanish: D = 0 at any shift
@@ -248,7 +268,7 @@ def kkt_decompose(
     rhs = Hm.conj().T * (scalars.w[idx] * scalars.u[idx].conj())
     lam, U = np.linalg.eigh(C)
     reg = REG_REL * max(trace, 0.0) / C.shape[0]
-    return idx, U, np.maximum(lam, 0.0) + reg, U.conj().T @ rhs
+    return idx, problem.whitener @ U, np.maximum(lam, 0.0) + reg, U.conj().T @ rhs
 
 
 def kkt_reconstruct(
@@ -261,17 +281,27 @@ def kkt_reconstruct(
     """Closed-form beamformer from the weighted-MMSE stationarity system.
 
     d_k = C(nu)^{-1} (w_k u_k^* h_eff_k) for admitted k, with
-    C(nu) = sum over admitted of w |u|^2 h h^H + nu I.  C is
+    C(nu) = sum over admitted of w |u|^2 h h^H + nu G and G the analog Gram,
+    so nu prices the transmit power ||A D||^2 that the budget bounds.  C is
     eigendecomposed once per admitted set by `kkt_decompose`; pass that as
     `eig` to reuse it across shifts, otherwise it is built here.  A shift
-    then only rescales the eigenvalues: D = U Z / (lam + nu).
+    then only rescales the eigenvalues: D = B Z / (lam + nu).
     """
     if nu < 0:
         raise ValueError(f"dual variable must be >= 0, got {nu}")
-    idx, U, lam, Z = kkt_decompose(problem, admitted, scalars) if eig is None else eig
+    idx, B, lam, Z = kkt_decompose(problem, admitted, scalars) if eig is None else eig
     D = np.zeros((problem.h_eff.shape[1], problem.num_users), dtype=complex)
-    D[:, idx] = U @ (Z / (lam + nu)[:, None])
+    D[:, idx] = B @ (Z / (lam + nu)[:, None])
     return D
+
+
+def _secular_terms(eig: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """(lam_i, c_i = ||Z_i||^2) of the power sum, without the c_i = 0 terms:
+    an empty or all-zero admitted set has none and power 0 at every shift."""
+    _, _, lam, Z = eig
+    c = (Z * Z.conj()).real.sum(axis=1)
+    keep = c > 0.0
+    return lam[keep], c[keep]
 
 
 def kkt_power(problem: SnapshotProblem, eig: tuple):
@@ -279,22 +309,11 @@ def kkt_power(problem: SnapshotProblem, eig: tuple):
 
     Returns power(shift) = transmit_power(problem, kkt_reconstruct(...,
     shift, eig)) for the decomposition `eig` of `kkt_decompose`, without
-    building D: with D = U diag(s) Z and s = 1/(lam + shift), the power is
-    s^T P s for the real PSD (N_RF, N_RF) matrix P = Re((U^H G U) o conj(Z
-    Z^H)), G the analog Gram.
-    P is formed once here; each shift then costs one small quadratic form.
-    An empty admitted set (no columns, lam = 0) has power 0 at every shift.
+    building D: the basis is orthonormal in the analog Gram, so the power
+    is the diagonal secular sum c_i / (lam_i + shift)^2 with c_i = ||Z_i||^2.
     """
-    idx, U, lam, Z = eig
-    if not idx.size:
-        return lambda shift: 0.0
-    P = ((U.conj().T @ problem.analog_gram @ U) * (Z @ Z.conj().T).conj()).real
-
-    def power(shift: float) -> float:
-        s = 1.0 / (lam + shift)
-        return float(s @ P @ s)
-
-    return power
+    lam, c = _secular_terms(eig)
+    return lambda shift: float(np.sum(c / (lam + shift) ** 2))
 
 
 def _rates(problem: SnapshotProblem, D: np.ndarray):
@@ -307,58 +326,36 @@ def power_dual_bisection(
     scalars: SolverScalars,
     ridge: float = 0.0,
 ) -> tuple[float, np.ndarray, int]:
-    """Smallest-necessary power dual: nu = 0 when the unconstrained
-    reconstruction already fits the budget, otherwise geometric growth of
-    an upper bracket followed by bisection into [0.99, 1.0] * P_max.
-    `ridge` is a fixed extra shift: each nu is evaluated at nu + ridge.
+    """Smallest-necessary power dual, found by Newton's method (the name is
+    kept from an earlier bisection): nu = 0 when the unconstrained
+    reconstruction already fits the budget, otherwise Newton steps from
+    nu = 0 on 1/sqrt(power(nu)) - 1/sqrt(target), target the middle of
+    [POWER_BAND, 1] * P_max.  That function is concave and increasing
+    (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983), so the iterates rise
+    monotonically towards the target and the first with power <= P_max has
+    power in [0.995, 1] * P_max.  `ridge` is a fixed extra shift: each nu is
+    evaluated at nu + ridge.
 
-    One eigendecomposition of C serves every nu, and each trial nu reads
-    its power from the eigenbasis (`kkt_power`); the beamformer is built
-    by `kkt_reconstruct` once, at the chosen nu.  Power is non-increasing
-    in nu; every evaluation is recorded and monotonicity asserted per call.
-    Returns (nu, D, number of power evaluations).
+    One eigendecomposition serves every nu, and each trial nu reads its
+    power and slope from the secular sum that `kkt_power` evaluates; the
+    beamformer is built by `kkt_reconstruct` once, at the chosen nu.
+    Returns (nu, D, number of power evaluations); more than MAX_BISECT
+    Newton steps raise InvariantError.
     """
-    evals: list[tuple[float, float]] = []
     eig = kkt_decompose(problem, admitted, scalars)
-    power = kkt_power(problem, eig)
-
-    def evaluate(nu: float) -> float:
-        p = power(nu + ridge)
-        evals.append((nu, p))
-        return p
-
-    def check_monotone() -> None:
-        seq = sorted(evals)
-        for (nu_a, p_a), (nu_b, p_b) in zip(seq, seq[1:]):
-            if nu_b > nu_a and p_b > p_a * (1.0 + 1e-6) + 1e-12 * problem.p_max:
-                raise InvariantError(
-                    f"power increased along the dual: p({nu_a}) = {p_a} -> "
-                    f"p({nu_b}) = {p_b}"
-                )
-
-    best_nu = 0.0
-    if evaluate(0.0) > problem.p_max:
-        nu_lo, nu_hi = 0.0, 1.0
-        p_hi = evaluate(nu_hi)
-        for _ in range(MAX_DOUBLINGS):
-            if p_hi <= problem.p_max:
-                break
-            nu_lo, nu_hi = nu_hi, nu_hi * 2.0
-            p_hi = evaluate(nu_hi)
-        best_nu = nu_hi
-        if p_hi < POWER_BAND * problem.p_max:
-            for _ in range(MAX_BISECT):
-                mid = 0.5 * (nu_lo + nu_hi)
-                p_mid = evaluate(mid)
-                if p_mid > problem.p_max:
-                    nu_lo = mid
-                else:
-                    nu_hi = best_nu = mid
-                    if p_mid >= POWER_BAND * problem.p_max:
-                        break
-    check_monotone()
-    D = kkt_reconstruct(problem, admitted, scalars, best_nu + ridge, eig)
-    return best_nu, D, len(evals)
+    lam, c = _secular_terms(eig)
+    target = 0.5 * (1.0 + POWER_BAND) * problem.p_max
+    nu = 0.0
+    for n_ev in range(1, MAX_BISECT + 2):
+        s = 1.0 / (lam + (nu + ridge))
+        cs2 = c * s * s
+        p = float(cs2.sum())
+        if p <= problem.p_max:
+            D = kkt_reconstruct(problem, admitted, scalars, nu + ridge, eig)
+            return nu, D, n_ev
+        # Newton on 1/sqrt(p): d/dnu p^{-1/2} = p^{-3/2} sum c_i s_i^3
+        nu += p * (math.sqrt(p / target) - 1.0) / float(cs2 @ s)
+    raise InvariantError(f"power dual did not converge in {MAX_BISECT} Newton steps")
 
 
 def _solve_projected(problem, admitted, scalars, ridge: float = 0.0):
@@ -458,8 +455,9 @@ def refine_qos_safe(
     through the power dual, projects, and accepts only when all admitted
     rate floors still hold and the objective did not decrease; the first
     rejected iterate ends the loop (the sweep map is deterministic).  For
-    the energy-efficiency objective the current Dinkelbach ratio is folded
-    into the reconstruction ridge.
+    the energy-efficiency objective the current Dinkelbach ratio eta enters
+    as the reconstruction ridge, i.e. the eta G term of the stationarity of
+    R - eta ||A D||^2.
     """
     stats = {"refine_accepted": 0, "refine_tried": 0}
     if not admitted.any() or n_ref < 1:

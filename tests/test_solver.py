@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 import hapbeam.solver as solver
-from hapbeam.channel import sinr_and_rates
+from hapbeam.array_model import ArrayConfig, analog_beamformer_at
+from hapbeam.channel import (
+    ChannelParams,
+    effective_channel,
+    fspl_gain,
+    sinr_and_rates,
+    synthesize_channel,
+)
+from hapbeam.geometry import EulerZYX, WorldGeometry
+from hapbeam.harness import place_users
 from hapbeam.errors import ConfigError
 from hapbeam.solver import (
     REG_REL,
@@ -73,6 +82,15 @@ class TestProblemAndProxy:
                 noise_power=1.0,
                 analog_gram=bad_gram,
             )
+        indefinite = np.array([[1.0, 2.0], [2.0, 1.0]])  # D = [1, -1] has power -2
+        with pytest.raises(ConfigError, match="positive semidefinite"):
+            SnapshotProblem.build(
+                np.ones((2, 2), dtype=complex),
+                r_min=1.0,
+                p_max=1.0,
+                noise_power=1.0,
+                analog_gram=indefinite,
+            )
 
     @pytest.mark.parametrize(
         "arg, value",
@@ -96,6 +114,16 @@ class TestProblemAndProxy:
             kwargs[arg] = value
         with pytest.raises(ConfigError, match=rf"^{arg} must be"):
             SnapshotProblem.build(**kwargs)
+
+    def test_whitener(self):
+        # W = L^{-H} with G = L L^H: exactly I for the identity Gram, and it
+        # whitens a steering Gram
+        prob = random_problem(2)
+        assert np.array_equal(prob.whitener, np.eye(prob.h_eff.shape[1]))
+        prob, _ = _kkt_case("analog-gram")
+        W = prob.whitener
+        assert np.allclose(W.conj().T @ prob.analog_gram @ W, np.eye(8), atol=1e-12)
+        assert np.array_equal(W, np.triu(W))
 
     def test_transmit_power_matches_element_domain(self):
         rng = np.random.default_rng(3)
@@ -218,12 +246,15 @@ def _kkt_case(name):
 
 
 def _dense_kkt(prob, mask, sc, nu):
-    """Reference: solve (C + (nu + reg) I) d = rhs with a dense solver."""
+    """Reference: solve (C + (nu + reg) G) d = rhs with a dense solver, G the
+    analog Gram and reg = REG_REL * tr(G^{-1} C)/N_RF."""
     idx = np.flatnonzero(mask)
     Hm = prob.h_eff[idx]
     C = (Hm.conj().T * (sc.w[idx] * np.abs(sc.u[idx]) ** 2)) @ Hm
+    G = prob.analog_gram
     N = C.shape[0]
-    Cs = C + (nu + REG_REL * C.trace().real / N) * np.eye(N)
+    reg = REG_REL * np.linalg.solve(G, C).trace().real / N
+    Cs = C + (nu + reg) * G
     D = np.zeros((N, prob.num_users), dtype=complex)
     D[:, idx] = np.linalg.solve(Cs, Hm.conj().T * (sc.w[idx] * sc.u[idx].conj()))
     return D, np.linalg.cond(Cs)
@@ -288,9 +319,18 @@ class TestBisection:
         assert n_ev == 1
         assert transmit_power(prob, D) == pytest.approx(300.0, rel=1e-6)
 
-    def test_power_lands_in_band(self):
+    @pytest.mark.parametrize("gram", ["identity", "steering"])
+    def test_power_lands_in_band(self, gram):
+        steering = _kkt_case("analog-gram")[0].analog_gram  # 8 chains
+        searched = 0
         for seed in range(30):
             prob = random_problem(seed, p_max=0.05)
+            if gram == "steering":
+                rng = np.random.default_rng(seed)
+                prob = SnapshotProblem.build(
+                    _crandn(rng, 10, 8) / 4.0, r_min=1.0, p_max=0.05, noise_power=0.1,
+                    certified=rng.random(10) < 0.8, analog_gram=steering,
+                )
             sc = predict_admission_and_scalars(prob)
             mask = prob.certified.copy()
             if not mask.any():
@@ -299,6 +339,8 @@ class TestBisection:
             p = transmit_power(prob, D)
             if nu > 0.0:
                 assert 0.99 * prob.p_max <= p <= prob.p_max
+                searched += 1
+        assert searched > 10
 
     def test_power_monotone_in_dual(self):
         prob = random_problem(33, certify_frac=1.0)
@@ -375,7 +417,7 @@ class TestDualPower:
             ref = kkt_reconstruct(prob, mask, sc, nu + ridge)
             assert D.tobytes() == ref.tobytes()
             searched += n_ev > 2
-        assert searched > 10  # the budget is tight enough to force bisection
+        assert searched > 10  # the budget is tight enough to force Newton steps
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
     def test_zero_scalars_stop_at_zero_dual(self, ridge):
@@ -460,6 +502,54 @@ class TestRepairAndSolve:
         )
 
 
+def _shared_direction_problem():
+    """Four users on a 6x6 array, the first two at the same ground position:
+    their analog columns coincide and the Gram is numerically singular."""
+    cfg = ArrayConfig(6, 6, 0.005, 0.005, 0.01, 4)
+    users = place_users("uniform", 4, 20e3, seed=0)
+    users[1] = users[0]
+    geom = WorldGeometry.build([0.0, 0.0, 20e3], users)
+    params = ChannelParams.build(kappa=10.0, beta=fspl_gain(cfg.wavelength, geom.distance),
+                                 noise_power=1e-13, bandwidth=1.0, num_users=4)
+    att = EulerZYX(0.05, -0.02, 0.01)
+    H = synthesize_channel(cfg, geom, att, params, np.random.default_rng(0))
+    A = analog_beamformer_at(cfg, geom, att)
+    return SnapshotProblem.build(effective_channel(H, A), r_min=1.0, p_max=10.0,
+                                 noise_power=params.noise_power,
+                                 analog_gram=A.conj().T @ A)
+
+
+class TestEdgeCases:
+    """Near-singular analog Grams and extreme budgets keep the solve feasible."""
+
+    @staticmethod
+    def assert_solution_ok(prob, sol):
+        # recompute power and rates independently of the solution object
+        assert transmit_power(prob, sol.d_matrix) <= prob.p_max
+        _, rates = sinr_and_rates(prob.h_eff, sol.d_matrix, prob.noise_power,
+                                  prob.bandwidth)
+        assert np.all(rates[sol.admitted] >= prob.r_min[sol.admitted])
+        assert np.all(sol.admitted <= prob.certified)
+        assert not sol.d_matrix[:, ~sol.admitted].any()
+        assert sol.qar == sol.admitted.sum() / prob.num_users
+
+    def test_users_sharing_a_direction(self):
+        prob = _shared_direction_problem()
+        assert np.linalg.cond(prob.analog_gram) > 1e15
+        with pytest.raises(np.linalg.LinAlgError):  # so the ridge retry ran
+            np.linalg.cholesky(prob.analog_gram)
+        for objective in ("sum-rate", "ee"):
+            sol = solve_snapshot(prob, objective=objective)
+            self.assert_solution_ok(prob, sol)
+            assert sol.admitted.any()
+
+    @pytest.mark.parametrize("p_max", [1e-9, 1e9])
+    def test_extreme_budgets(self, p_max):
+        for seed in range(30):
+            prob = random_problem(seed, p_max=p_max)
+            self.assert_solution_ok(prob, solve_snapshot(prob))
+
+
 class TestExhaustiveOracle:
     """Small-K optimality: compare against brute force over every admitted
     subset, reconstructing each with the same scalars and dual procedure."""
@@ -541,8 +631,9 @@ class TestRefinement:
             prob = random_problem(seed)
             sol = solve_snapshot(prob)
             assert sol.stats["refine_tried"] <= 10
-            # each dual solve spends at most 1 + 61 + 40 evaluations; repair
-            # runs at most K drop solves plus K passes of K add-back trials
-            per_solve = 102
+            # each dual solve spends one evaluation at nu = 0 and one per
+            # Newton step; repair runs at most K drop solves plus K passes of
+            # K add-back trials
+            per_solve = solver.MAX_BISECT + 1
             K = prob.num_users
             assert sol.stats["bisection_evals"] <= per_solve * (K + 1) * (K + 2)
