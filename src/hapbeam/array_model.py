@@ -58,18 +58,17 @@ def steering_vector(cfg: ArrayConfig, theta, phi) -> np.ndarray:
     Element (m, n) carries phase (2 pi / wavelength) *
     (m * d_x * sin(theta) cos(phi) + n * d_y * sin(theta) sin(phi));
     the flat index runs over m (x axis) fastest.  Angle arrays of shape (K,)
-    give the K vectors as the columns of an (M, K) matrix, each column equal
-    bit for bit to the call on its own angles.
+    give the K vectors as the columns of an (M, K) matrix, (S, K) arrays an
+    (S, M, K) stack; each column equal bit for bit to the call on its angles.
     """
     sx = np.sin(theta) * np.cos(phi)
     sy = np.sin(theta) * np.sin(phi)
     k0 = 2.0 * np.pi / cfg.wavelength
     px = np.multiply.outer(np.arange(cfg.m_x), k0 * cfg.d_x * sx)  # (m_x, ...)
     py = np.multiply.outer(np.arange(cfg.m_y), k0 * cfg.d_y * sy)  # (m_y, ...)
-    phase = py[:, None] + px[None, :]  # (m_y, m_x, ...), m fastest when raveled
-    return np.exp(1j * phase).reshape((cfg.num_elements,) + np.shape(sx)) / np.sqrt(
-        cfg.num_elements
-    )
+    phase = (py[:, None] + px[None, :]).reshape((cfg.num_elements,) + np.shape(sx))
+    phase = np.moveaxis(phase, 0, max(-2, -phase.ndim))  # (M, S, K) -> (S, M, K)
+    return np.exp(1j * phase) / np.sqrt(cfg.num_elements)
 
 
 def _steering_matrix(cfg: ArrayConfig, geom: WorldGeometry, att) -> np.ndarray:
@@ -86,6 +85,7 @@ def analog_beamformer_at(
     Column k points at user k's line of sight from the body frame under
     ``attitude``, an EulerZYX or a 3x3 body-to-world rotation matrix
     (ValueError unless orthonormal with det +1).  One RF chain per user.
+    S attitudes (EulerZYX of (S,) arrays, or (S, 3, 3)) give (S, M, N_RF).
     """
     if geom.num_users != cfg.n_rf:
         raise ConfigError(

@@ -12,12 +12,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .forecast import AttitudeSeries, ForecastOutput
+from .forecast import AttitudeSeries, ForecastOutput, paired_windows
 from .geometry import EulerZYX, euler_to_rotation, rotation_log_vee
 
 
-def _rot(row) -> np.ndarray:
-    return euler_to_rotation(EulerZYX.from_array(row))
+def _residuals(series: AttitudeSeries, outputs: list[ForecastOutput], d: int) -> np.ndarray:
+    """Residual vectors of every output's target window as one rotation
+    stack, shape (n, H_pred - d, 3)."""
+    angles, truth = paired_windows(series, outputs, d)
+    rows = np.moveaxis(np.stack([angles, truth])[:, :, d:], -1, 0)  # (3, 2, n, H_pred - d)
+    R_hat, R = euler_to_rotation(EulerZYX(*rows))
+    return rotation_log_vee(R_hat, R)
 
 
 def window_residuals(
@@ -29,19 +34,7 @@ def window_residuals(
     forecast attitude against the realized one.  Degenerate rotations raise;
     calibration must not ingest corrupted residuals.
     """
-    h_pred = output.angles.shape[0]
-    if not 0 <= d < h_pred:
-        raise ValueError(f"decision delay d={d} must satisfy 0 <= d < H_pred={h_pred}")
-    if output.origin + h_pred >= len(series):
-        raise DataError(
-            f"origin {output.origin}: truth does not cover horizon {h_pred}"
-        )
-    res = np.empty((h_pred - d, 3))
-    for j, h in enumerate(range(d + 1, h_pred + 1)):
-        R_hat = _rot(output.angles[h - 1])
-        R = _rot(series.samples[output.origin + h])
-        res[j] = rotation_log_vee(R_hat, R)
-    return res
+    return _residuals(series, [output], d)[0]
 
 
 def target_window_max(residuals: np.ndarray) -> float:
@@ -99,9 +92,8 @@ def calibrate(
     if not outputs:
         raise DataError("no forecast origins to calibrate on")
     h_pred = outputs[0].angles.shape[0]
-    scores = np.empty(len(outputs))
-    for i, out in enumerate(outputs):
-        scores[i] = target_window_max(window_residuals(series, out, d))
+    # the norm is target_window_max's, row by row
+    scores = np.max(np.linalg.norm(_residuals(series, outputs, d), axis=-1), axis=-1)
     return CalibrationReport(
         delta_omega=conformal_radius(scores, rho),
         rho=rho,

@@ -51,7 +51,7 @@ def synthesize_channel(
     geom: WorldGeometry,
     attitude_true: EulerZYX | np.ndarray,
     params: ChannelParams,
-    rng: np.random.Generator,
+    rng: np.random.Generator | list[np.random.Generator],
 ) -> np.ndarray:
     """Draw one channel realization H, shape (M, K).
 
@@ -60,16 +60,18 @@ def synthesize_channel(
     and h_nlos ~ CN(0, beta_k I).  ``attitude_true`` is an EulerZYX or a
     3x3 body-to-world rotation matrix, as in `analog_beamformer_at`.  The
     diffuse draw order is fixed (one (M, K) block, real then imaginary), so
-    a given generator state yields a bit-reproducible matrix.
+    a given generator state yields a bit-reproducible matrix.  S attitudes
+    with a list of S generators give the (S, M, K) stack of S such draws.
     """
-    K = geom.num_users
-    M = cfg.num_elements
     A = _steering_matrix(cfg, geom, attitude_true)
+    M, K = A.shape[-2:]
+    gens = [rng] if A.ndim == 2 else rng
     pure = np.isinf(params.kappa)
     kappa = np.where(pure, 1.0, params.kappa)
     w_los = np.where(pure, 1.0, np.sqrt(kappa / (kappa + 1.0)))
     w_nlos = np.where(pure, 0.0, np.sqrt(1.0 / (kappa + 1.0)))
-    noise = rng.standard_normal((M, K)) + 1j * rng.standard_normal((M, K))
+    noise = [g.standard_normal((M, K)) + 1j * g.standard_normal((M, K)) for g in gens]
+    noise = np.reshape(noise, A.shape)
     # One scalar exp per user: the slant-range phases run to ~1e7 rad, where
     # the array form of np.exp rounds differently in the last bits.
     phase = np.array(
@@ -81,15 +83,15 @@ def synthesize_channel(
 
 
 def effective_channel(H: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Analog-combined channel H_eff = H^H A, shape (K, N_RF)."""
+    """Analog-combined channel H_eff = H^H A, shape (K, N_RF), per stacked slice."""
     H = np.asarray(H)
     A = np.asarray(A)
-    if H.shape[0] != A.shape[0]:
+    if H.shape[-2] != A.shape[-2]:
         raise ValueError(
-            f"element-count mismatch: channel has {H.shape[0]} rows, "
-            f"beamformer {A.shape[0]}"
+            f"element-count mismatch: channel has {H.shape[-2]} rows, "
+            f"beamformer {A.shape[-2]}"
         )
-    return H.conj().T @ A
+    return np.swapaxes(H.conj(), -1, -2) @ A
 
 
 def sinr_and_rates(

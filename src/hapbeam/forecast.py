@@ -191,37 +191,45 @@ def _channels(samples: np.ndarray) -> np.ndarray:
     return np.column_stack([np.sin(yaw), np.cos(yaw), samples[:, 1], samples[:, 2]])
 
 
-def _lag_features(z: np.ndarray, t: int, order: int) -> np.ndarray:
-    """Feature row of origin t: channels z[t], z[t-1], .., z[t-order+1]
+def _lag_features(z: np.ndarray, origins: np.ndarray, order: int) -> np.ndarray:
+    """Feature rows, one per origin t: channels z[t], z[t-1], .., z[t-order+1]
     (newest first), then an intercept."""
-    return np.append(z[t - order + 1 : t + 1][::-1].ravel(), 1.0)
+    lags = z[origins[:, None] - np.arange(order)].reshape(len(origins), -1)
+    return np.column_stack([lags, np.ones(len(origins))])
 
 
 @dataclass(frozen=True)
 class DirectForecaster:
     """Direct multi-horizon linear forecaster (Ben Taieb et al., Expert
-    Syst. Appl. 2012): one weight column per horizon and channel, so every
-    origin is one matrix-vector product and no forecast feeds another.
-    Called as (series, request) like the per-window forecasters."""
+    Syst. Appl. 2012): one weight column per horizon and channel, so no
+    forecast feeds another.  Called as (series, request) like the per-window
+    forecasters, or with a list of requests for the list of their outputs."""
 
     weights: np.ndarray  # (4 * order + 1, 4 * h_pred)
     order: int  # lags per channel
     h_pred: int
     rows: int  # training origins the fit used
 
-    def __call__(self, series: AttitudeSeries, req: ForecastRequest) -> ForecastOutput:
-        if req.h_pred != self.h_pred or req.l_win < self.order:
-            raise ValueError(
-                f"direct{self.order} was fitted for h_pred={self.h_pred} and "
-                f"needs l_win >= {self.order}; got h_pred={req.h_pred}, l_win={req.l_win}"
-            )
-        w = _window(series, req)[-self.order :]
-        x = _lag_features(_channels(w), self.order - 1, self.order)
-        y = (x @ self.weights).reshape(self.h_pred, 4)
-        s, c = y[:, 0], y[:, 1]
-        yaw = np.where(np.hypot(s, c) > 1e-12, np.arctan2(s, c), w[-1, 0])
-        angles = np.column_stack([wrap_pi(yaw), y[:, 2], y[:, 3]])
-        return ForecastOutput(req.origin, angles, f"direct{self.order}")
+    def __call__(self, series: AttitudeSeries, req) -> ForecastOutput | list:
+        single = isinstance(req, ForecastRequest)
+        reqs = [req] if single else req
+        for r in reqs:
+            if r.h_pred != self.h_pred or r.l_win < self.order:
+                raise ValueError(
+                    f"direct{self.order} was fitted for h_pred={self.h_pred} and "
+                    f"needs l_win >= {self.order}; got h_pred={r.h_pred}, l_win={r.l_win}"
+                )
+            _window(series, r)  # the look-back must lie inside the series
+        origins = np.array([r.origin for r in reqs])
+        X = _lag_features(_channels(series.samples), origins, self.order)
+        # (n, 1, F) @ W is one row product per origin, as the unbatched x @ W
+        y = (X[:, None, :] @ self.weights).reshape(len(reqs), self.h_pred, 4)
+        s, c = y[..., 0], y[..., 1]
+        yaw = np.where(np.hypot(s, c) > 1e-12, np.arctan2(s, c), series.samples[origins, :1])
+        angles = np.stack([wrap_pi(yaw), y[..., 2], y[..., 3]], axis=-1)
+        tag = f"direct{self.order}"
+        outs = [ForecastOutput(r.origin, a, tag) for r, a in zip(reqs, angles)]
+        return outs[0] if single else outs
 
 
 def fit_direct(
@@ -246,9 +254,9 @@ def fit_direct(
     gram = DIRECT_RIDGE * np.eye(n_feat)
     cross = np.zeros((n_feat, 4 * h_pred))
     for lo in range(order - 1, stop, _FIT_BLOCK):
-        block = range(lo, min(lo + _FIT_BLOCK, stop))
-        X = np.array([_lag_features(z, t, order) for t in block])
-        Y = np.array([z[t + 1 : t + h_pred + 1].ravel() for t in block])
+        block = np.arange(lo, min(lo + _FIT_BLOCK, stop))
+        X = _lag_features(z, block, order)
+        Y = z[block[:, None] + np.arange(1, h_pred + 1)].reshape(len(block), -1)
         gram += X.T @ X
         cross += X.T @ Y
     weights = np.linalg.solve(gram, cross)
@@ -278,6 +286,26 @@ class ForecastErrorReport:
     h_pred: int
 
 
+def paired_windows(
+    series: AttitudeSeries, outputs: list[ForecastOutput], d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The outputs' angles and the realized samples they forecast, both
+    (n, H_pred, 3); truth must cover every full horizon, and 0 <= d < H_pred."""
+    if not outputs:
+        raise DataError("no forecast outputs to evaluate")
+    h_pred = outputs[0].angles.shape[0]
+    if any(o.angles.shape[0] != h_pred for o in outputs):
+        raise DataError("outputs disagree on horizon count")
+    if not 0 <= d < h_pred:
+        raise ValueError(f"decision delay d={d} must satisfy 0 <= d < H_pred={h_pred}")
+    origins = np.array([o.origin for o in outputs])
+    late = origins + h_pred >= len(series)
+    if np.any(late):
+        raise DataError(f"origin {origins[late][0]}: truth does not cover horizon {h_pred}")
+    truth = series.samples[origins[:, None] + np.arange(1, h_pred + 1)]
+    return np.array([o.angles for o in outputs]), truth
+
+
 def forecast_errors(
     series: AttitudeSeries, outputs: list[ForecastOutput], d: int
 ) -> ForecastErrorReport:
@@ -287,23 +315,10 @@ def forecast_errors(
     against a truth of -179 deg scores 2 deg.  Truth must cover every
     origin's full horizon.
     """
-    if not outputs:
-        raise DataError("no forecast outputs to evaluate")
-    h_pred = outputs[0].angles.shape[0]
-    if any(o.angles.shape[0] != h_pred for o in outputs):
-        raise DataError("outputs disagree on horizon count")
-    if not 0 <= d < h_pred:
-        raise ValueError(f"decision delay d={d} must satisfy 0 <= d < H_pred={h_pred}")
-    errs = np.empty((len(outputs), h_pred, 3))
-    for i, out in enumerate(outputs):
-        if out.origin + h_pred >= len(series):
-            raise DataError(
-                f"origin {out.origin}: truth does not cover horizon {h_pred}"
-            )
-        truth = series.samples[out.origin + 1 : out.origin + h_pred + 1]
-        diff = out.angles - truth
-        diff[:, 0] = wrap_pi(diff[:, 0])
-        errs[i] = diff
+    angles, truth = paired_windows(series, outputs, d)
+    h_pred = angles.shape[1]
+    errs = angles - truth
+    errs[..., 0] = wrap_pi(errs[..., 0])
     abs_deg = np.abs(np.rad2deg(errs))
     target = abs_deg[:, d:, :]  # horizons d+1 .. h_pred
     flat = target.reshape(-1, 3)

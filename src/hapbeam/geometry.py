@@ -46,30 +46,24 @@ class EulerZYX:
         return np.array([self.yaw, self.pitch, self.roll], dtype=float)
 
     @classmethod
-    def from_array(cls, a) -> "EulerZYX":
-        a = np.asarray(a, dtype=float)
-        if a.shape != (3,):
-            raise ValueError(f"expected 3 Euler angles, got shape {a.shape}")
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    @classmethod
     def level(cls) -> "EulerZYX":
         return cls(0.0, 0.0, 0.0)
 
 
 def euler_to_rotation(att: EulerZYX) -> np.ndarray:
-    """Body-to-world rotation R = Rz(yaw) @ Ry(pitch) @ Rx(roll)."""
+    """Body-to-world R = Rz(yaw) @ Ry(pitch) @ Rx(roll); (S, 3, 3) for (S,) angles."""
     cy, sy = np.cos(att.yaw), np.sin(att.yaw)
     cp, sp = np.cos(att.pitch), np.sin(att.pitch)
     cr, sr = np.cos(att.roll), np.sin(att.roll)
     # Products written out; avoids three 3x3 matmuls in a hot path.
-    return np.array(
+    R = np.array(
         [
             [cy * cp, cy * sp * sr - sy * cr, cy * sp * cr + sy * sr],
             [sy * cp, sy * sp * sr + cy * cr, sy * sp * cr - cy * sr],
             [-sp, cp * sr, cp * cr],
         ]
     )
+    return R if R.ndim == 2 else np.ascontiguousarray(np.moveaxis(R, (0, 1), (-2, -1)))
 
 
 def rotation_to_euler(R: np.ndarray) -> EulerZYX:
@@ -113,37 +107,41 @@ def rotation_log_vee(R_hat: np.ndarray, R: np.ndarray) -> np.ndarray:
     skew-symmetric part.  Below 1e-6 rad the scale factor theta/sin(theta)
     switches to its series to avoid 0/0.  Within 1e-9 of pi the axis sign is
     not determined by the skew part and AmbiguousAxisError is raised; the
-    geodesic angle is carried on the exception.
+    geodesic angle (a stack's largest) is carried on the exception.
+    (S, 3, 3) stacks give the (S, 3) rotation vectors, row s equal bit for
+    bit to the call on pair s.
     """
-    E = R_hat.T @ R
-    c = (E[0, 0] + E[1, 1] + E[2, 2] - 1.0) / 2.0
-    theta = float(np.arccos(min(1.0, max(-1.0, c))))
-    if theta > np.pi - _PI_AXIS_TOL:
-        raise AmbiguousAxisError(
-            f"relative rotation angle {theta:.12g} within 1e-9 of pi; "
-            "axis is ambiguous",
-            angle=theta,
-        )
+    E = R_hat.swapaxes(-1, -2) @ R
+    if E.ndim > 2:
+        c = (E[..., 0, 0] + E[..., 1, 1] + E[..., 2, 2] - 1.0) / 2.0
+        theta = np.arccos(np.clip(c, -1.0, 1.0))
+        worst = float(np.max(theta))
+    else:  # one pair stays on scalars: the array form costs three times as much per call
+        c = (E[0, 0] + E[1, 1] + E[2, 2] - 1.0) / 2.0
+        theta = worst = float(np.arccos(min(1.0, max(-1.0, c))))
+    if worst > np.pi - _PI_AXIS_TOL:
+        msg = f"relative rotation angle {worst:.12g} within 1e-9 of pi; axis is ambiguous"
+        raise AmbiguousAxisError(msg, angle=worst)
+    if E.ndim > 2:  # the scalar arithmetic below, array by array
+        small = theta < _SMALL_ANGLE
+        sin = np.sin(np.where(small, 1.0, theta))  # the series needs no sine
+        v = 0.5 * (E - np.swapaxes(E, -1, -2))[..., (2, 0, 1), (1, 2, 0)]
+        return np.where(small, 1.0 + theta * theta / 6.0, theta / sin)[..., None] * v
     # v = sin(theta) * axis
-    v = 0.5 * np.array(
-        [E[2, 1] - E[1, 2], E[0, 2] - E[2, 0], E[1, 0] - E[0, 1]]
-    )
-    if theta < _SMALL_ANGLE:
-        scale = 1.0 + theta * theta / 6.0
-    else:
-        scale = theta / np.sin(theta)
+    v = 0.5 * np.array([E[2, 1] - E[1, 2], E[0, 2] - E[2, 0], E[1, 0] - E[0, 1]])
+    scale = 1.0 + theta * theta / 6.0 if theta < _SMALL_ANGLE else theta / np.sin(theta)
     return scale * v
 
 
 def ensure_rotation(R: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate orthonormality (R R^T = I) and det = +1 within tol."""
+    """Validate orthonormality (R R^T = I) and det = +1 within tol, per 3x3 slice."""
     R = np.asarray(R, dtype=float)
-    if R.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got {R.shape}")
-    err = np.max(np.abs(R @ R.T - np.eye(3)))
+    if R.shape[-2:] != (3, 3):
+        raise ValueError(f"rotation must be 3x3 or a stack of them, got {R.shape}")
+    err = np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)))
     if err > tol:
         raise ValueError(f"matrix is not orthonormal: max |R R^T - I| = {err:.3g}")
-    det = float(np.linalg.det(R))
+    det = float(np.min(np.linalg.det(R)))  # orthonormal, so +-1: the min finds a -1
     if abs(det - 1.0) > tol:
         raise ValueError(f"matrix is not a proper rotation: det = {det:.12g}")
     return R
@@ -155,14 +153,15 @@ def los_to_body_angles(e_world, R: np.ndarray):
     u = R^T e; theta = arccos(u_z) in [0, pi], phi = atan2(u_y, u_x) in
     (-pi, pi] with atan2(0, 0) defined as 0.  R is the body-to-world
     rotation of the platform attitude.  One vector, shape (3,), gives two
-    floats; a (K, 3) stack gives two arrays of shape (K,).
+    floats; a (K, 3) stack gives two arrays of shape (K,), and with an
+    (S, 3, 3) stack of rotations two of shape (S, K).
     """
     e = np.asarray(e_world, dtype=float)
     u = np.atleast_2d(e) @ R  # row k is R^T e_k
-    theta = np.arccos(np.clip(u[:, 2], -1.0, 1.0))
-    phi = np.arctan2(u[:, 1], u[:, 0])
+    theta = np.arccos(np.clip(u[..., 2], -1.0, 1.0))
+    phi = np.arctan2(u[..., 1], u[..., 0])
     phi[phi == -np.pi] = np.pi
-    if e.ndim == 1:
+    if e.ndim == 1 and np.ndim(R) == 2:
         return float(theta[0]), float(phi[0])
     return theta, phi
 

@@ -4,10 +4,10 @@ Generates a synthetic platform-attitude process, places ground users,
 calibrates the pointing-residual bound of the compensation mode's attitude
 estimate on a validation split, then walks test-slot snapshots: steer the
 analog stage by that estimate, synthesize the true-attitude channel, solve
-the per-slot digital problem, and aggregate.  Snapshot evaluations use
-per-snapshot RNG substreams derived from (master seed, snapshot index), so
-the map is order-independent and bit-reproducible; this implementation
-runs it as an ordered serial loop.
+the per-slot digital problem, and aggregate.  Channel draws use per-snapshot
+RNG substreams of (master seed, snapshot index).  Rotations, certificates and
+pointing errors are one array pass over all snapshots, the analog, channel
+and Gram stages one per BLOCK snapshots, and the solver runs per snapshot.
 """
 
 import copy
@@ -33,6 +33,7 @@ from .channel import ChannelParams, effective_channel, fspl_gain, synthesize_cha
 from .errors import ConfigError, HapbeamError, InvariantError, UncoveredSlotError
 from .forecast import (
     AttitudeSeries,
+    DirectForecaster,
     ForecastErrorReport,
     ForecastOutput,
     ForecastRequest,
@@ -49,7 +50,7 @@ from .geometry import (
     los_to_body_angles,
     rotation_log_vee,
 )
-from .io import SNAPSHOT_COLUMNS, load_forecast_csv
+from .io import load_forecast_csv
 from .solver import SnapshotProblem, solve_snapshot
 
 CHANNEL_PRESETS = {
@@ -67,6 +68,7 @@ OBJECTIVES = ("sum-rate", "ee")
 
 TRAIN_FRAC = 0.7
 VAL_FRAC = 0.1
+BLOCK = 8  # snapshots per (S, M, K) stage pass: a run-long stack costs tens of MiB
 
 
 def _check_keys(section: dict, allowed, where: str) -> None:
@@ -538,16 +540,18 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
             out = replay[req.origin]  # scored and applied over h_pred horizons only
             return replace(out, angles=out.angles[: req.h_pred])
 
-    def issue(origin):
-        return source(series, ForecastRequest(origin, hz.l_win, hz.h_pred, hz.delay))
+    def issue(origins) -> list:
+        reqs = [ForecastRequest(int(t), hz.l_win, hz.h_pred, hz.delay) for t in origins]
+        if isinstance(source, DirectForecaster):  # one stacked product for all
+            return source(series, reqs)
+        return [source(series, req) for req in reqs]
 
     # calibration on the validation split: every origin whose target window
     # closes before the test region begins
     cal_origins = range(t_train_end, t_val_end - hz.h_pred)
-    cal_outputs = [issue(t) for t in cal_origins]
-    if not cal_outputs:
+    if not cal_origins:
         raise ConfigError("validation split too short to calibrate")
-    report = calibrate(series, cal_outputs, hz.delay, config.calibration.rho)
+    report = calibrate(series, issue(cal_origins), hz.delay, config.calibration.rho)
 
     first_slot = t_val_end + hz.delay + 1
     slots = np.arange(first_slot, first_slot + config.snapshots)
@@ -557,7 +561,7 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
     if max(cal_origins) >= int(eval_origins[0]):
         raise InvariantError("calibration and evaluation origins overlap")
 
-    forecasts = {int(t): issue(int(t)) for t in eval_origins}
+    forecasts = issue(eval_origins)
     params = ChannelParams.build(
         kappa=CHANNEL_PRESETS[config.channel.preset],
         beta=(
@@ -570,70 +574,58 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
         num_users=K,
     )
 
+    # every snapshot at once: (S, 3, 3) beam and truth rotations, (S, K)
+    # steering angles, one certificate call and the pointing errors
+    beam = np.array([out.angles[hz.delay] for out in forecasts])
+    R_beam = euler_to_rotation(EulerZYX(*beam.T)) @ mounting
+    R_truth = euler_to_rotation(EulerZYX(*series.samples[slots].T)) @ mounting
+    theta, phi = los_to_body_angles(geom.los_unit, R_beam)
     half = np.deg2rad(config.calibration.box_halfwidth_deg)
+    l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, half))
+    certified = certify_users(l2, report.delta_omega, config.calibration.epsilon)
+    res = rotation_log_vee(R_beam, R_truth)
+    # (1, 3) @ (3, 1) per row: the dot product np.linalg.norm takes of one vector
+    err = np.degrees(np.sqrt(res[:, None, :] @ res[:, :, None]))[:, 0, 0]
+
+    q, ch = config.qos, config.channel
+    qos = dict(r_min=q.r_min, p_max=q.p_max_w, circuit_power=q.circuit_power_w,
+               noise_power=ch.noise_power_w, bandwidth=ch.bandwidth_hz)
+    rows = []
+    for lo in range(0, len(slots), BLOCK):
+        A = analog_beamformer_at(cfg, geom, R_beam[lo : lo + BLOCK])
+        block = range(lo, lo + len(A))
+        rngs = [np.random.default_rng(np.random.SeedSequence([config.seeds.channel, i]))
+                for i in block]
+        H = synthesize_channel(cfg, geom, R_truth[lo : lo + BLOCK], params, rngs)
+        h_eff = effective_channel(H, A)
+        gram = np.swapaxes(A.conj(), -1, -2) @ A
+        for i in block:
+            try:
+                problem = SnapshotProblem.build(
+                    h_eff[i - lo], certified=certified[i], analog_gram=gram[i - lo], **qos
+                )
+                t0 = time.perf_counter()
+                sol = solve_snapshot(
+                    problem,
+                    k_min=config.admission.k_min,
+                    priority=config.admission.priority,
+                    seed=config.seeds.admission + i,
+                    objective=config.admission.objective,
+                    n_ref=config.admission.n_ref,
+                )
+                solve_time = time.perf_counter() - t0
+            except HapbeamError as exc:
+                exc.args = (f"snapshot {i} (slot {int(slots[i])}): {exc}",)
+                raise
+            rows.append((sol.qar, sol.sum_rate, sol.energy_efficiency, sol.power,
+                         float(sol.feasible), solve_time))
+
     # solve_time_s is kept for timing callers and written to no file
-    columns = {name: [] for name in (*SNAPSHOT_COLUMNS, "solve_time_s")}
-    for i, slot in enumerate(slots):
-        try:
-            beam_att = EulerZYX(*forecasts[int(slot) - hz.delay - 1].angles[hz.delay])
-            R_beam = euler_to_rotation(beam_att) @ mounting
-            R_truth = euler_to_rotation(EulerZYX(*series.samples[int(slot)])) @ mounting
-            A = analog_beamformer_at(cfg, geom, R_beam)
-
-            rng = np.random.default_rng(
-                np.random.SeedSequence([config.seeds.channel, i])
-            )
-            H = synthesize_channel(cfg, geom, R_truth, params, rng)
-            h_eff = effective_channel(H, A)
-
-            theta, phi = los_to_body_angles(geom.los_unit, R_beam)
-            l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, half))
-            certified = certify_users(
-                l2, report.delta_omega, config.calibration.epsilon
-            )
-
-            problem = SnapshotProblem.build(
-                h_eff,
-                r_min=config.qos.r_min,
-                p_max=config.qos.p_max_w,
-                noise_power=config.channel.noise_power_w,
-                bandwidth=config.channel.bandwidth_hz,
-                circuit_power=config.qos.circuit_power_w,
-                certified=certified,
-                analog_gram=A.conj().T @ A,
-            )
-            t0 = time.perf_counter()
-            sol = solve_snapshot(
-                problem,
-                k_min=config.admission.k_min,
-                priority=config.admission.priority,
-                seed=config.seeds.admission + i,
-                objective=config.admission.objective,
-                n_ref=config.admission.n_ref,
-            )
-            solve_time = time.perf_counter() - t0
-            err = np.degrees(
-                np.linalg.norm(rotation_log_vee(R_beam, R_truth))
-            )
-        except HapbeamError as exc:
-            exc.args = (f"snapshot {i} (slot {int(slot)}): {exc}",)
-            raise
-        columns["snapshot"].append(i)
-        columns["mode"].append(config.compensation)
-        columns["K"].append(K)
-        columns["QAR"].append(sol.qar)
-        columns["sum_rate"].append(sol.sum_rate)
-        columns["ee"].append(sol.energy_efficiency)
-        columns["power"].append(sol.power)
-        columns["feasible"].append(float(sol.feasible))
-        columns["max_pointing_err_deg"].append(err)
-        columns["solve_time_s"].append(solve_time)
-
-    columns = {
-        name: (np.asarray(vals) if name != "mode" else list(vals))
-        for name, vals in columns.items()
-    }
-    fc_report = forecast_errors(series, list(forecasts.values()), hz.delay)
+    names = ("QAR", "sum_rate", "ee", "power", "feasible", "solve_time_s")
+    columns = {"snapshot": np.arange(len(slots)), "mode": [config.compensation] * len(slots),
+               "K": np.full(len(slots), K), "max_pointing_err_deg": err,
+               **{name: np.array(col) for name, col in zip(names, zip(*rows))}}
+    fc_report = forecast_errors(series, forecasts, hz.delay)
     return RunResult(
         config=config,
         snapshots=columns,

@@ -118,6 +118,21 @@ class TestAnalogSchedule:
             A = analog_beamformer_at(cfg, geom, R)
             assert np.array_equal(A, want) and A.flags.c_contiguous
 
+    def test_stack_of_attitudes_matches_one_at_a_time(self):
+        rng = np.random.default_rng(61)
+        geom = self.geom(5)
+        cfg = ArrayConfig(7, 9, 0.005, 0.006, 0.01, 5)
+        a = rng.uniform(-0.5, 0.5, (11, 3))
+        R = euler_to_rotation(EulerZYX(*a.T))
+        A = analog_beamformer_at(cfg, geom, R)
+        assert A.shape == (11, 63, 5)
+        assert np.array_equal(analog_beamformer_at(cfg, geom, EulerZYX(*a.T)), A)
+        theta, phi = los_to_body_angles(geom.los_unit, R)
+        assert np.array_equal(steering_vector(cfg, theta, phi), A)
+        for Ai, Ri, ai in zip(A, R, a):
+            assert np.array_equal(Ai, analog_beamformer_at(cfg, geom, Ri))
+            assert np.array_equal(Ai, analog_beamformer_at(cfg, geom, EulerZYX(*ai)))
+
     def test_chain_count_mismatch_rejected(self):
         geom = self.geom(3)
         cfg = ArrayConfig(8, 8, 0.005, 0.005, 0.01, 4)

@@ -16,7 +16,13 @@ from hapbeam.calibration import (
 from hapbeam.errors import DataError, ParseError
 from hapbeam.io import load_calibration_report, save_calibration_report
 from hapbeam.forecast import AttitudeSeries, ForecastOutput
-from hapbeam.geometry import EulerZYX, euler_to_rotation, rotation_exp, rotation_to_euler
+from hapbeam.geometry import (
+    EulerZYX,
+    euler_to_rotation,
+    rotation_exp,
+    rotation_log_vee,
+    rotation_to_euler,
+)
 
 
 def perturbed_series_and_forecast(omegas, origin=5, d=2):
@@ -160,6 +166,29 @@ class TestReport:
 
 
 class TestEndToEndCalibrate:
+    def test_stacked_scores_match_window_by_window(self):
+        rng = np.random.default_rng(17)
+        n = 300
+        samples = np.column_stack([np.cumsum(rng.normal(0, 0.02, n)),
+                                   0.02 * np.sin(np.arange(n) / 9.0), rng.normal(0, 0.01, n)])
+        series = AttitudeSeries.build(0.1, samples)
+        outputs = []
+        for t in range(20, 280):
+            angles = series.samples[t + 1 : t + 13] + rng.normal(0, 3e-3, (12, 3))
+            angles[0] = series.samples[t + 1]  # zero residual: the series branch
+            outputs.append(ForecastOutput(t, angles, "x"))
+        rep = calibrate(series, outputs, d=0, rho=0.1)
+        for out, score in zip(outputs, rep.scores):
+            # reference: one rotation pair at a time
+            ref = [
+                rotation_log_vee(euler_to_rotation(EulerZYX(*out.angles[h - 1])),
+                                 euler_to_rotation(EulerZYX(*series.samples[out.origin + h])))
+                for h in range(1, 13)
+            ]
+            res = window_residuals(series, out, 0)
+            assert np.array_equal(res, np.array(ref))
+            assert score == target_window_max(res)
+
     def test_radius_covers_injected_noise(self):
         rng = np.random.default_rng(31)
         n = 400

@@ -133,6 +133,24 @@ class TestAttitudeForms:
                 h_nlos = np.sqrt(params.beta[k] / 2.0) * noise[:, k]
                 assert np.array_equal(H[:, k], w_los * h_los + w_nlos * h_nlos)
 
+    @pytest.mark.parametrize("kappa", [np.inf, 10.0, np.array([0.5, np.inf, 3.0, 30.0])])
+    def test_stack_matches_one_at_a_time(self, kappa):
+        # one generator per attitude keeps each snapshot's draw order
+        cfg, geom = small_scene(k=4, mx=6, my=5)
+        params = ChannelParams.build(
+            kappa, fspl_gain(cfg.wavelength, geom.distance), 1e-13, 1.0, 4
+        )
+        R = euler_to_rotation(EulerZYX(*np.random.default_rng(8).uniform(-0.3, 0.3, (7, 3)).T))
+        H = synthesize_channel(cfg, geom, R, params,
+                               [np.random.default_rng([9, i]) for i in range(7)])
+        A = analog_beamformer_at(cfg, geom, R[::-1])
+        h_eff = effective_channel(H, A)
+        assert H.shape == (7, 30, 4) and h_eff.shape == (7, 4, 4)
+        for i in range(7):
+            one = synthesize_channel(cfg, geom, R[i], params, np.random.default_rng([9, i]))
+            assert np.array_equal(H[i], one)
+            assert np.array_equal(h_eff[i], effective_channel(one, A[i]))
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -228,6 +228,17 @@ class TestDirect:
             worst = max(worst, np.max(np.abs(diff)))
         assert worst < 1e-6
 
+    def test_many_origins_match_one_at_a_time(self):
+        s = self.noisy_series()
+        f = fit_direct(s, self.TRAIN_END, 24, 12)
+        reqs = [req(t, l_win=96) for t in range(self.TRAIN_END, 587)]
+        outs = f(s, reqs)
+        assert len(outs) == len(reqs)
+        for r, got in zip(reqs, outs):
+            one = f(s, r)
+            assert got.origin == one.origin == r.origin and got.tag == one.tag
+            assert np.array_equal(got.angles, one.angles)
+
     def test_request_must_match_the_fit(self):
         s = self.noisy_series()
         f = fit_direct(s, self.TRAIN_END, 24, 12)
@@ -237,6 +248,11 @@ class TestDirect:
             f(s, req(500, l_win=16))
         with pytest.raises(DataError):
             f(s, req(600))
+        # in a list, every request is checked
+        with pytest.raises(ValueError, match="fitted for h_pred=12"):
+            f(s, [req(500), req(501, h_pred=10)])
+        with pytest.raises(DataError):
+            f(s, [req(500), req(600)])
 
     def test_training_split_too_short(self):
         s = self.noisy_series()

@@ -189,3 +189,60 @@ class TestWorldGeometry:
     def test_coincident_user_rejected(self):
         with pytest.raises(ValueError):
             WorldGeometry.build([0, 0, 0.0], [[0, 0, 0.0]])
+
+
+class TestStacks:
+    """A leading stack axis gives, slice by slice, the single call's bytes."""
+
+    def angles(self, n, seed=7):
+        rng = np.random.default_rng(seed)
+        return np.column_stack([rng.uniform(-np.pi, np.pi, n), rng.uniform(-1.4, 1.4, n),
+                                rng.uniform(-np.pi, np.pi, n)])
+
+    def test_euler_to_rotation(self):
+        a = self.angles(50)
+        R = euler_to_rotation(EulerZYX(*a.T))
+        assert R.shape == (50, 3, 3) and R.flags.c_contiguous
+        for Ri, ai in zip(R, a):
+            assert np.array_equal(Ri, euler_to_rotation(EulerZYX(*ai)))
+
+    def test_los_to_body_angles(self):
+        R = euler_to_rotation(EulerZYX(*self.angles(40).T))
+        e = np.random.default_rng(2).normal(size=(6, 3))
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        theta, phi = los_to_body_angles(e, R)
+        assert theta.shape == phi.shape == (40, 6)
+        for Ri, ti, pi in zip(R, theta, phi):
+            got_t, got_p = los_to_body_angles(e, Ri)
+            assert np.array_equal(ti, got_t) and np.array_equal(pi, got_p)
+
+    def test_rotation_log_vee(self):
+        rng = np.random.default_rng(5)
+        R_hat = euler_to_rotation(EulerZYX(*self.angles(60).T))
+        # general angles, the small-angle series and the identity (theta 0)
+        scale = np.concatenate([rng.uniform(1e-3, 3.0, 40), rng.uniform(0, 1e-6, 19), [0.0]])
+        omega = rng.normal(size=(60, 3))
+        omega *= (scale / np.linalg.norm(omega, axis=1))[:, None]
+        R = R_hat @ np.array([rotation_exp(w) for w in omega])
+        got = rotation_log_vee(R_hat, R)
+        assert got.shape == (60, 3)
+        for g, a, b in zip(got, R_hat, R):
+            assert np.array_equal(g, rotation_log_vee(a, b))
+        # two stack axes, as calibration passes (origins, horizons)
+        grid = rotation_log_vee(R_hat.reshape(6, 10, 3, 3), R.reshape(6, 10, 3, 3))
+        assert np.array_equal(grid.reshape(60, 3), got)
+
+    def test_rotation_log_vee_ambiguous_in_a_stack(self):
+        R = np.stack([np.eye(3), rotation_exp(np.array([0.0, 0.0, np.pi - 1e-12])), np.eye(3)])
+        with pytest.raises(AmbiguousAxisError) as one:
+            rotation_log_vee(np.eye(3), R[1])
+        with pytest.raises(AmbiguousAxisError) as stack:
+            rotation_log_vee(np.broadcast_to(np.eye(3), R.shape), R)
+        assert stack.value.angle == one.value.angle == pytest.approx(np.pi, abs=1e-6)
+
+    def test_ensure_rotation_checks_every_slice(self):
+        R = euler_to_rotation(EulerZYX(*self.angles(5).T))
+        ensure_rotation(R)
+        R[3] = np.diag([1.0, 1.0, -1.0])  # orthogonal but a reflection
+        with pytest.raises(ValueError, match="proper rotation"):
+            ensure_rotation(R)

@@ -1,5 +1,7 @@
 import ast
 import json
+import re
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 from functools import partial
 from pathlib import Path
@@ -9,11 +11,33 @@ import pytest
 
 import hapbeam.cli as cli
 from hapbeam.cli import main
-from hapbeam.errors import ConfigError, DataError, ParseError, UncoveredSlotError, exit_code_for
+from hapbeam.array_model import (
+    AngleBox,
+    analog_beamformer_at,
+    certify_users,
+    spectral_bound_l2,
+)
+from hapbeam.calibration import conformal_radius, target_window_max
+from hapbeam.channel import ChannelParams, effective_channel, fspl_gain, synthesize_channel
+from hapbeam.errors import (
+    ConfigError,
+    DataError,
+    InvariantError,
+    ParseError,
+    UncoveredSlotError,
+    exit_code_for,
+)
 from hapbeam.forecast import AttitudeSeries, ForecastRequest, fit_direct, forecast_ar
-from hapbeam.geometry import EulerZYX
+from hapbeam.geometry import (
+    EulerZYX,
+    WorldGeometry,
+    euler_to_rotation,
+    los_to_body_angles,
+    rotation_log_vee,
+)
 import hapbeam.harness as harness
 from hapbeam.harness import (
+    CHANNEL_PRESETS,
     MODE_SOURCES,
     AdmissionSpec,
     ArraySpec,
@@ -346,7 +370,7 @@ class TestRunExperiment:
             else:
                 assert np.array_equal(a.snapshots[name], b.snapshots[name]), name
 
-    def test_one_solve_and_one_batched_bound_per_snapshot(self, monkeypatch):
+    def test_one_solve_per_snapshot_and_one_bound_per_run(self, monkeypatch):
         calls = {"solve_snapshot": 0, "spectral_bound_l2": 0}
 
         def counted(name):
@@ -360,8 +384,8 @@ class TestRunExperiment:
 
         for name in calls:
             monkeypatch.setattr(harness, name, counted(name))
-        run_experiment(ScenarioConfig.from_dict({**FAST, "snapshots": 5}))
-        assert calls == {"solve_snapshot": 5, "spectral_bound_l2": 5}
+        run_experiment(ScenarioConfig.from_dict({**FAST, "snapshots": 13}))
+        assert calls == {"solve_snapshot": 13, "spectral_bound_l2": 1}
 
     def test_aggregate_means_match_columns(self):
         res = run_experiment(ScenarioConfig.from_dict(dict(FAST)))
@@ -473,6 +497,143 @@ class TestRunExperiment:
             )
             qars.add(sol.qar)
         assert len(qars) == 1
+
+
+def reference_columns(config: ScenarioConfig):
+    """The per-snapshot loop that run_experiment's array pass replaced, from
+    single-item calls only: one forecast per origin, calibration scores one
+    horizon at a time, then per snapshot the rotations, analog stage,
+    channel, certificate, solve and pointing error.  Returns the radius and
+    the snapshot columns."""
+    hz = config.horizon
+    length = required_series_length(config)
+    series = generate_attitude_series(config.seeds.attitude, length, hz.dt_s)
+    t_train_end = int(TRAIN_FRAC * length)
+    t_val_end = int((TRAIN_FRAC + VAL_FRAC) * length)
+    positions = place_users(config.users.layout, config.users.count,
+                            config.users.disc_radius_m, config.seeds.placement)
+    geom = WorldGeometry.build(config.hap.position, positions)
+    K = config.users.count
+    cfg = config.array.build(n_rf=K)
+    mounting = config.hap.mounting
+    source = MODE_SOURCES.get(config.compensation) or fit_direct(
+        series, t_train_end, config.forecaster.order, hz.h_pred
+    )
+
+    def issue(t):
+        return source(series, ForecastRequest(int(t), hz.l_win, hz.h_pred, hz.delay))
+
+    def rotation(angles):
+        return euler_to_rotation(EulerZYX(*angles))
+
+    scores = []
+    for t in range(t_train_end, t_val_end - hz.h_pred):
+        angles = issue(t).angles
+        res = [rotation_log_vee(rotation(angles[h - 1]), rotation(series.samples[t + h]))
+               for h in range(hz.delay + 1, hz.h_pred + 1)]
+        scores.append(target_window_max(np.array(res)))
+    delta_omega = conformal_radius(scores, config.calibration.rho)
+
+    params = ChannelParams.build(
+        kappa=CHANNEL_PRESETS[config.channel.preset],
+        beta=fspl_gain(cfg.wavelength, geom.distance),
+        noise_power=config.channel.noise_power_w,
+        bandwidth=config.channel.bandwidth_hz,
+        num_users=K,
+    )
+    half = np.deg2rad(config.calibration.box_halfwidth_deg)
+    columns = {name: [] for name in ("QAR", "sum_rate", "ee", "power", "feasible",
+                                     "max_pointing_err_deg")}
+    first_slot = t_val_end + hz.delay + 1
+    for i, slot in enumerate(range(first_slot, first_slot + config.snapshots)):
+        R_beam = rotation(issue(slot - hz.delay - 1).angles[hz.delay]) @ mounting
+        R_truth = rotation(series.samples[slot]) @ mounting
+        A = analog_beamformer_at(cfg, geom, R_beam)
+        rng = np.random.default_rng(np.random.SeedSequence([config.seeds.channel, i]))
+        H = synthesize_channel(cfg, geom, R_truth, params, rng)
+        theta, phi = los_to_body_angles(geom.los_unit, R_beam)
+        l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, half))
+        problem = SnapshotProblem.build(
+            effective_channel(H, A),
+            r_min=config.qos.r_min,
+            p_max=config.qos.p_max_w,
+            noise_power=config.channel.noise_power_w,
+            bandwidth=config.channel.bandwidth_hz,
+            circuit_power=config.qos.circuit_power_w,
+            certified=certify_users(l2, delta_omega, config.calibration.epsilon),
+            analog_gram=A.conj().T @ A,
+        )
+        sol = solve_snapshot(
+            problem,
+            k_min=config.admission.k_min,
+            priority=config.admission.priority,
+            seed=config.seeds.admission + i,
+            objective=config.admission.objective,
+            n_ref=config.admission.n_ref,
+        )
+        for name, value in (("QAR", sol.qar), ("sum_rate", sol.sum_rate),
+                            ("ee", sol.energy_efficiency), ("power", sol.power),
+                            ("feasible", float(sol.feasible))):
+            columns[name].append(value)
+        err = np.degrees(np.linalg.norm(rotation_log_vee(R_beam, R_truth)))
+        columns["max_pointing_err_deg"].append(err)
+    return delta_omega, {name: np.array(vals) for name, vals in columns.items()}
+
+
+# 13 snapshots leave a partial block after one full block of harness.BLOCK
+ARRAY_PASS = {"snapshots": 13, "users": {"count": 4}, "array": {"m_x": 8, "m_y": 8}}
+
+
+class TestArrayPass:
+    """run_experiment stacks every snapshot, calibration window and forecast
+    origin; its outputs must equal the per-item loop bit for bit."""
+
+    @pytest.mark.parametrize("preset", ["rician-strong", "pure-los"])
+    @pytest.mark.parametrize("mode", ["none", "reactive", "forecast", "ideal"])
+    def test_matches_per_snapshot_reference(self, mode, preset):
+        self.check({**ARRAY_PASS, "compensation": mode, "channel": {"preset": preset}})
+
+    def test_matches_reference_with_mounting_offset(self):
+        self.check({**ARRAY_PASS, "hap": {"mounting_deg": [10.0, -35.0, 20.0]}})
+
+    def check(self, raw):
+        config = ScenarioConfig.from_dict(raw)
+        assert config.snapshots % harness.BLOCK != 0
+        res = run_experiment(config)
+        delta_omega, want = reference_columns(config)
+        assert res.calibration.delta_omega == delta_omega
+        for name, column in want.items():
+            assert np.array_equal(res.snapshots[name], column), name
+
+    def test_solve_error_names_snapshot_and_slot(self, monkeypatch):
+        calls = []
+
+        def failing(problem, **kwargs):
+            calls.append(problem)
+            if len(calls) == 4:
+                raise InvariantError("solver broke")
+            return solve_snapshot(problem, **kwargs)
+
+        monkeypatch.setattr(harness, "solve_snapshot", failing)
+        config = ScenarioConfig.from_dict(ARRAY_PASS)
+        length = required_series_length(config)
+        slot = int((TRAIN_FRAC + VAL_FRAC) * length) + config.horizon.delay + 1 + 3
+        with pytest.raises(InvariantError, match=re.escape(f"snapshot 3 (slot {slot}): solver broke")):
+            run_experiment(config)
+
+    def test_default_run_peak_memory(self):
+        # the analog, channel and Gram stages hold (BLOCK, M, K) stacks, never
+        # one per run: about 2.5 MiB at the peak against 27.7 MiB for one
+        # stack of all 200 snapshots, which would cost the benchmark's
+        # peak_rss_mb bound
+        run_experiment(ScenarioConfig(snapshots=2))  # lazy numpy set-up first
+        tracemalloc.start()
+        try:
+            run_experiment(ScenarioConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 class TestDirectForecaster:
