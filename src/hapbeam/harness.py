@@ -51,7 +51,7 @@ from .geometry import (
     rotation_log_vee,
 )
 from .io import load_forecast_csv
-from .solver import SnapshotProblem, solve_snapshot
+from .solver import ADMISSION_PRIORITIES, OBJECTIVES, SnapshotProblem, solve_snapshot
 
 CHANNEL_PRESETS = {
     "rician-strong": 10.0,
@@ -63,8 +63,6 @@ COMPENSATION_MODES = ("none", "reactive", "forecast", "ideal")
 LOCAL_FORECASTERS = ("persistence", "linear", "ar")
 # direct is fitted once per run on the training split, external is replayed
 FORECASTER_KINDS = LOCAL_FORECASTERS + ("direct", "external")
-ADMISSION_PRIORITIES = ("qos-difficulty", "channel-gain", "random")
-OBJECTIVES = ("sum-rate", "ee")
 
 TRAIN_FRAC = 0.7
 VAL_FRAC = 0.1

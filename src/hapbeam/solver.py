@@ -26,7 +26,7 @@ every admitted rate at or above its floor, with no exceptions.
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,6 +193,9 @@ def project_power(problem: SnapshotProblem, D: np.ndarray) -> np.ndarray:
     return out
 
 
+ADMISSION_PRIORITIES = ("qos-difficulty", "channel-gain", "random")
+
+
 def predict_admission_and_scalars(
     problem: SnapshotProblem,
     k_min: int = 8,
@@ -304,18 +307,6 @@ def _secular_terms(eig: tuple) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], c[keep]
 
 
-def kkt_power(problem: SnapshotProblem, eig: tuple):
-    """Transmit power along the dual path, read from the eigenbasis.
-
-    Returns power(shift) = transmit_power(problem, kkt_reconstruct(...,
-    shift, eig)) for the decomposition `eig` of `kkt_decompose`, without
-    building D: the basis is orthonormal in the analog Gram, so the power
-    is the diagonal secular sum c_i / (lam_i + shift)^2 with c_i = ||Z_i||^2.
-    """
-    lam, c = _secular_terms(eig)
-    return lambda shift: float(np.sum(c / (lam + shift) ** 2))
-
-
 def _rates(problem: SnapshotProblem, D: np.ndarray):
     return sinr_and_rates(problem.h_eff, D, problem.noise_power, problem.bandwidth)
 
@@ -336,8 +327,8 @@ def power_dual_bisection(
     power in [0.995, 1] * P_max.  `ridge` is a fixed extra shift: each nu is
     evaluated at nu + ridge.
 
-    One eigendecomposition serves every nu, and each trial nu reads its
-    power and slope from the secular sum that `kkt_power` evaluates; the
+    One eigendecomposition serves every nu: each trial nu reads its power
+    and slope from the secular terms of `_secular_terms`, and the
     beamformer is built by `kkt_reconstruct` once, at the chosen nu.
     Returns (nu, D, number of power evaluations); more than MAX_BISECT
     Newton steps raise InvariantError.
@@ -395,11 +386,9 @@ def strict_repair(
         return D, rates
 
     D = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
-    rates = np.zeros(K)
     for _ in range(K + 1):
         if not admitted.any():
             D = np.zeros_like(D)
-            rates = np.zeros(K)
             break
         D, rates = solve_for(admitted)
         gaps = np.maximum(problem.r_min - rates, 0.0)
@@ -412,27 +401,29 @@ def strict_repair(
     else:
         raise InvariantError("repair failed to terminate within K drops")
 
-    # feasibility-preserving add-backs, ascending required power
-    candidates_order = np.lexsort((np.arange(K), scalars.pi))
-    for _ in range(K + 1):
-        added = False
-        for k in candidates_order:
+    # feasibility-preserving add-backs, ascending required power; each
+    # accepted user restarts the scan, a scan that accepts no one ends it
+    order = np.lexsort((np.arange(K), scalars.pi))
+    while True:
+        for k in order:
             if admitted[k] or not problem.certified[k]:
                 continue
             trial = admitted.copy()
             trial[k] = True
             D_t, rates_t = solve_for(trial)
             if _feasible(problem, trial, rates_t):
-                admitted, D, rates = trial, D_t, rates_t
+                admitted, D = trial, D_t
                 stats["addbacks"] += 1
-                added = True
                 break
-        if not added:
-            break
-    return admitted, D, stats
+        else:
+            return admitted, D, stats
+
+
+OBJECTIVES = ("sum-rate", "ee")
 
 
 def _objective(problem, admitted, rates, power, objective: str) -> float:
+    """Admitted sum-rate, or energy efficiency sum / (power + circuit)."""
     total = float(np.sum(rates[admitted]))
     if objective == "sum-rate":
         return total
@@ -446,40 +437,38 @@ def refine_qos_safe(
     problem: SnapshotProblem,
     admitted: np.ndarray,
     D: np.ndarray,
+    scalars: SolverScalars,
     n_ref: int = 10,
     objective: str = "sum-rate",
 ) -> tuple[np.ndarray, dict]:
     """Monotone-accept WMMSE sweeps over the fixed admitted set.
 
-    Each sweep re-derives (u, w) from the current beamformer, reconstructs
-    through the power dual, projects, and accepts only when all admitted
-    rate floors still hold and the objective did not decrease; the first
-    rejected iterate ends the loop (the sweep map is deterministic).  For
-    the energy-efficiency objective the current Dinkelbach ratio eta enters
-    as the reconstruction ridge, i.e. the eta G term of the stationarity of
-    R - eta ||A D||^2.
+    Each sweep re-derives (u, w) from the current beamformer, puts them in
+    place of those in the predictor's `scalars`, reconstructs through the
+    power dual, projects, and accepts only when all admitted rate floors
+    still hold and the objective did not decrease; the first rejected
+    iterate ends the loop (the sweep map is deterministic).  For the
+    energy-efficiency objective the current objective, the Dinkelbach ratio
+    eta, enters as the reconstruction ridge, i.e. the eta G term of the
+    stationarity of R - eta ||A D||^2.
     """
     stats = {"refine_accepted": 0, "refine_tried": 0}
     if not admitted.any() or n_ref < 1:
         return D, stats
-    pi = required_power_proxy(problem)
     _, rates = _rates(problem, D)
-    power = transmit_power(problem, D)
-    best = _objective(problem, admitted, rates, power, objective)
+    best = _objective(problem, admitted, rates, transmit_power(problem, D), objective)
     for _ in range(n_ref):
         stats["refine_tried"] += 1
         u, w = _mmse_scalars(problem, D)
-        ridge = 0.0
-        if objective == "ee":
-            ridge = best if power <= 0 else float(
-                np.sum(rates[admitted]) / (power + problem.circuit_power)
-            )
-        scal = SolverScalars(scores=admitted.astype(float), u=u, w=w, pi=pi)
-        D_new, rates_new, _ = _solve_projected(problem, admitted, scal, ridge)
-        power_new = transmit_power(problem, D_new)
-        val = _objective(problem, admitted, rates_new, power_new, objective)
+        ridge = best if objective == "ee" else 0.0
+        D_new, rates_new, _ = _solve_projected(
+            problem, admitted, replace(scalars, u=u, w=w), ridge
+        )
+        val = _objective(
+            problem, admitted, rates_new, transmit_power(problem, D_new), objective
+        )
         if _feasible(problem, admitted, rates_new) and val >= best:
-            D, rates, power, best = D_new, rates_new, power_new, val
+            D, best = D_new, val
             stats["refine_accepted"] += 1
         else:
             break
@@ -498,7 +487,7 @@ def solve_snapshot(
     scalars = predict_admission_and_scalars(problem, k_min, priority, seed)
     admitted0 = problem.certified & (scalars.scores >= 0.5)
     admitted, D, stats = strict_repair(problem, admitted0, scalars)
-    D, ref_stats = refine_qos_safe(problem, admitted, D, n_ref, objective)
+    D, ref_stats = refine_qos_safe(problem, admitted, D, scalars, n_ref, objective)
     stats.update(ref_stats)
     sinr, rates = _rates(problem, D)
     power = transmit_power(problem, D)
@@ -507,10 +496,8 @@ def solve_snapshot(
         raise InvariantError(
             "constructed solution failed final feasibility verification"
         )
-    if not np.allclose(D[:, ~admitted], 0.0):
+    if np.any(D[:, ~admitted]):
         raise InvariantError("non-admitted user received transmit power")
-    sum_rate = float(np.sum(rates[admitted]))
-    denom = power + problem.circuit_power
     return BeamSolution(
         d_matrix=D,
         admitted=admitted,
@@ -519,7 +506,7 @@ def solve_snapshot(
         power=power,
         feasible=True,
         qar=float(admitted.sum() / problem.num_users),
-        sum_rate=sum_rate,
-        energy_efficiency=sum_rate / denom if denom > 0 else 0.0,
+        sum_rate=_objective(problem, admitted, rates, power, "sum-rate"),
+        energy_efficiency=_objective(problem, admitted, rates, power, "ee"),
         stats=stats,
     )

@@ -15,14 +15,13 @@ from hapbeam.channel import (
 )
 from hapbeam.geometry import EulerZYX, WorldGeometry
 from hapbeam.harness import place_users
-from hapbeam.errors import ConfigError
+from hapbeam.errors import ConfigError, InvariantError
 from hapbeam.solver import (
     REG_REL,
     BeamSolution,
     SnapshotProblem,
     SolverScalars,
     kkt_decompose,
-    kkt_power,
     kkt_reconstruct,
     power_dual_bisection,
     predict_admission_and_scalars,
@@ -387,14 +386,14 @@ class TestDualPower:
         else:
             prob, mask = _kkt_case(case)
         sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
-        power = kkt_power(prob, kkt_decompose(prob, mask, sc))
+        lam, c = solver._secular_terms(kkt_decompose(prob, mask, sc))
         N = prob.h_eff.shape[1]
         # the same sums of N_RF-term products in another order, weighted by G
         tol = 100 * N * np.finfo(float).eps * np.linalg.cond(prob.analog_gram)
         for nu in KKT_SHIFTS:
             for ridge in (0.0, 0.5):
                 ref = transmit_power(prob, kkt_reconstruct(prob, mask, sc, nu + ridge))
-                err = abs(power(nu + ridge) - ref) / ref
+                err = abs(np.sum(c / (lam + (nu + ridge)) ** 2) - ref) / ref
                 assert err <= tol, (case, nu, ridge, err, tol)
 
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
@@ -491,6 +490,43 @@ class TestRepairAndSolve:
         )
         assert sol.rates[0] == pytest.approx(expect, rel=1e-10)
         assert 0.99 * prob.p_max <= sol.power <= prob.p_max
+
+    def test_addback_rescans_after_each_accepted_user(self, monkeypatch):
+        # scripted solves on 4 users ranked 0, 1, 2 by pi with user 3 admitted:
+        # {0, 3} and any set holding user 2 miss their floors, the rest clear
+        prob = SnapshotProblem.build(np.eye(4, dtype=complex), r_min=1.0,
+                                     p_max=1.0, noise_power=1.0)
+        trials = []
+
+        def scripted(problem, mask, scalars, ridge=0.0):
+            users = tuple(np.flatnonzero(mask))
+            trials.append(users)
+            ok = users != (0, 3) and not mask[2]
+            return np.zeros((4, 4), complex), prob.r_min * ok, 1
+
+        monkeypatch.setattr(solver, "_solve_projected", scripted)
+        sc = SolverScalars(np.zeros(4), np.zeros(4, complex), np.ones(4),
+                           np.array([0.1, 0.2, 0.3, 0.0]))
+        admitted, _, stats = strict_repair(prob, np.array([0, 0, 0, 1], bool), sc)
+        assert admitted.tolist() == [True, True, False, True]
+        assert stats["addbacks"] == 2 and stats["drops"] == 0
+        # the scan restarts at the first-ranked user after each acceptance
+        assert trials == [(3,), (0, 3), (1, 3), (0, 1, 3), (0, 1, 2, 3)]
+
+    def test_power_on_a_non_admitted_column_is_rejected(self, monkeypatch):
+        prob = SnapshotProblem.build(np.array([[1.0, 0.2], [0.98, 0.21]], complex),
+                                     r_min=3.0, p_max=1.0, noise_power=0.1)
+        refine = solver.refine_qos_safe
+
+        def leaky(problem, admitted, *args):
+            D, stats = refine(problem, admitted, *args)
+            D = D.copy()
+            D[0, np.flatnonzero(~admitted)[0]] = 1e-12
+            return D, stats
+
+        monkeypatch.setattr(solver, "refine_qos_safe", leaky)
+        with pytest.raises(InvariantError, match="non-admitted"):
+            solve_snapshot(prob)
 
     def test_qar_and_sum_rate_accounting(self):
         prob = random_problem(55, certify_frac=0.7)
@@ -625,6 +661,45 @@ class TestRefinement:
             # EE refinement must not fall below the EE of the unrefined point
             s0 = solve_snapshot(prob, n_ref=0)
             assert se.energy_efficiency >= s0.energy_efficiency - 1e-12
+
+    @pytest.mark.parametrize("objective", ["sum-rate", "ee"])
+    def test_refinement_ridge_is_the_current_objective(self, monkeypatch, objective):
+        # every sweep re-derives its scalars from the iterate it starts from,
+        # then searches the power dual once with the Dinkelbach ridge
+        starts, ridges, state = [], [], {}
+        refine, mmse, dual = (solver.refine_qos_safe, solver._mmse_scalars,
+                              solver.power_dual_bisection)
+
+        def refining(problem, admitted, *args):
+            state["admitted"] = admitted
+            try:
+                return refine(problem, admitted, *args)
+            finally:
+                state.clear()
+
+        def start(problem, D):
+            if state:
+                starts.append((problem, state["admitted"], D))
+            return mmse(problem, D)
+
+        def search(problem, admitted, scalars, ridge=0.0):
+            if state:
+                ridges.append(ridge)
+            return dual(problem, admitted, scalars, ridge)
+
+        monkeypatch.setattr(solver, "refine_qos_safe", refining)
+        monkeypatch.setattr(solver, "_mmse_scalars", start)
+        monkeypatch.setattr(solver, "power_dual_bisection", search)
+        for seed in range(30):
+            solve_snapshot(random_problem(seed, p_max=3.0), objective=objective)
+        assert len(ridges) == len(starts) > 30
+        for (prob, admitted, D), ridge in zip(starts, ridges):
+            if objective == "sum-rate":
+                assert ridge == 0.0
+            else:
+                _, rates = sinr_and_rates(prob.h_eff, D, prob.noise_power, prob.bandwidth)
+                ee = np.sum(rates[admitted]) / (transmit_power(prob, D) + prob.circuit_power)
+                assert ridge == ee > 0
 
     def test_stats_complexity_caps(self):
         for seed in range(50):
