@@ -37,12 +37,13 @@ def window_residuals(
     return _residuals(series, [output], d)[0]
 
 
-def target_window_max(residuals: np.ndarray) -> float:
-    """Nonconformity score: largest residual norm in the window."""
+def target_window_max(residuals: np.ndarray) -> float | np.ndarray:
+    """Nonconformity score: largest residual norm in the window.  A stack of
+    windows (..., H, 3) gets one score per window."""
     residuals = np.atleast_2d(np.asarray(residuals, dtype=float))
     if residuals.size == 0:
         raise DataError("empty residual window has no nonconformity score")
-    return float(np.max(np.linalg.norm(residuals, axis=1)))
+    return np.max(np.linalg.norm(residuals, axis=-1), axis=-1)
 
 
 def conformal_radius(scores, rho: float) -> float:
@@ -92,8 +93,7 @@ def calibrate(
     if not outputs:
         raise DataError("no forecast origins to calibrate on")
     h_pred = outputs[0].angles.shape[0]
-    # the norm is target_window_max's, row by row
-    scores = np.max(np.linalg.norm(_residuals(series, outputs, d), axis=-1), axis=-1)
+    scores = target_window_max(_residuals(series, outputs, d))
     return CalibrationReport(
         delta_omega=conformal_radius(scores, rho),
         rho=rho,

@@ -50,7 +50,8 @@ class AttitudeSeries:
 @dataclass(frozen=True)
 class ForecastRequest:
     """One forecasting task: origin slot, look-back length, horizon count,
-    and the actuation delay d used downstream for target-window selection."""
+    and the actuation delay d.  d is only validated; no forecaster reads it.
+    It stays because callers (bench/workloads.py) pass it by position."""
 
     origin: int
     l_win: int
@@ -116,6 +117,21 @@ def forecast_linear_trend(series: AttitudeSeries, req: ForecastRequest) -> Forec
     return ForecastOutput(req.origin, angles, "linear")
 
 
+def _channels(samples: np.ndarray) -> np.ndarray:
+    """(N, 4) sin yaw, cos yaw, pitch, roll: the regression channels, so the
+    +-pi yaw seam never enters a fit."""
+    yaw = samples[:, 0]
+    return np.column_stack([np.sin(yaw), np.cos(yaw), samples[:, 1], samples[:, 2]])
+
+
+def _angles(y: np.ndarray, last_yaw) -> np.ndarray:
+    """(..., 4) channel forecasts back to (..., 3) yaw/pitch/roll: yaw is the
+    angle of the (sin, cos) pair, or last_yaw where the pair vanishes."""
+    s, c = y[..., 0], y[..., 1]
+    yaw = np.where(np.hypot(s, c) > 1e-12, np.arctan2(s, c), last_yaw)
+    return np.stack([wrap_pi(yaw), y[..., 2], y[..., 3]], axis=-1)
+
+
 def _fit_ar_forecast(z: np.ndarray, order: int, h_pred: int) -> np.ndarray | None:
     """Least-squares AR(order) on a demeaned window; None when the fit or
     the forward iteration produces non-finite values."""
@@ -160,19 +176,11 @@ def forecast_ar(
             "need l_win >= 4 * order"
         )
     w = _window(series, req)
-    cols = {
-        "sin": _fit_ar_forecast(np.sin(w[:, 0]), order, req.h_pred),
-        "cos": _fit_ar_forecast(np.cos(w[:, 0]), order, req.h_pred),
-        "pitch": _fit_ar_forecast(w[:, 1], order, req.h_pred),
-        "roll": _fit_ar_forecast(w[:, 2], order, req.h_pred),
-    }
-    if any(v is None for v in cols.values()):
+    cols = [_fit_ar_forecast(z, order, req.h_pred) for z in _channels(w).T]
+    if any(v is None for v in cols):
         fb = forecast_linear_trend(series, req)
         return ForecastOutput(req.origin, fb.angles, f"ar{order}+linear-fallback")
-    s, c = cols["sin"], cols["cos"]
-    norm = np.hypot(s, c)
-    yaw = np.where(norm > 1e-12, np.arctan2(s, c), w[-1, 0])
-    angles = np.column_stack([wrap_pi(yaw), cols["pitch"], cols["roll"]])
+    angles = _angles(np.column_stack(cols), w[-1, 0])
     return ForecastOutput(req.origin, angles, f"ar{order}")
 
 
@@ -180,15 +188,7 @@ def forecast_ar(
 # Direct multi-horizon forecaster, fitted once
 # ---------------------------------------------------------------------------
 
-DIRECT_RIDGE = 1e-6  # ridge on the normal equations of the direct fit
-_FIT_BLOCK = 32  # design rows built at a time while accumulating the fit
-
-
-def _channels(samples: np.ndarray) -> np.ndarray:
-    """(N, 4) sin yaw, cos yaw, pitch, roll: the regression channels, so the
-    +-pi yaw seam never enters a fit."""
-    yaw = samples[:, 0]
-    return np.column_stack([np.sin(yaw), np.cos(yaw), samples[:, 1], samples[:, 2]])
+DIRECT_RIDGE = 1e-6  # ridge on the normal equations of the centred direct design
 
 
 def _lag_features(z: np.ndarray, origins: np.ndarray, order: int) -> np.ndarray:
@@ -224,9 +224,7 @@ class DirectForecaster:
         X = _lag_features(_channels(series.samples), origins, self.order)
         # (n, 1, F) @ W is one row product per origin, as the unbatched x @ W
         y = (X[:, None, :] @ self.weights).reshape(len(reqs), self.h_pred, 4)
-        s, c = y[..., 0], y[..., 1]
-        yaw = np.where(np.hypot(s, c) > 1e-12, np.arctan2(s, c), series.samples[origins, :1])
-        angles = np.stack([wrap_pi(yaw), y[..., 2], y[..., 3]], axis=-1)
+        angles = _angles(y, series.samples[origins, :1])
         tag = f"direct{self.order}"
         outs = [ForecastOutput(r.origin, a, tag) for r, a in zip(reqs, angles)]
         return outs[0] if single else outs
@@ -236,31 +234,27 @@ def fit_direct(
     series: AttitudeSeries, train_end: int, order: int, h_pred: int
 ) -> DirectForecaster:
     """Fit the direct forecaster on samples [0, train_end) only: every origin
-    whose target window closes before train_end is one row, and the ridge
-    normal equations are accumulated over row blocks, so the whole design
-    matrix is never held."""
+    whose target window closes before train_end is one row.  The lags are
+    centred on the training channel means, which keeps cos yaw (near +-1)
+    from duplicating the intercept, and the ridge normal equations are
+    solved once; the means are then folded into the intercept row.  The
+    design holds rows x (4 order + 1) floats, 1.1 MB at the default config."""
     if order < 1:
         raise ValueError(f"direct order must be >= 1, got {order}")
     z = _channels(series.samples[:train_end])
     # fit origins: t >= order - 1 (a full look-back) and t + h_pred < train_end
-    stop = len(z) - h_pred
-    n_rows = stop - order + 1
-    if n_rows < 1:
+    origins = np.arange(order - 1, len(z) - h_pred)
+    if origins.size < 1:
         raise DataError(
             f"training split of {len(z)} samples holds no fit row for "
             f"{order} lags and {h_pred} horizons"
         )
-    n_feat = 4 * order + 1
-    gram = DIRECT_RIDGE * np.eye(n_feat)
-    cross = np.zeros((n_feat, 4 * h_pred))
-    for lo in range(order - 1, stop, _FIT_BLOCK):
-        block = np.arange(lo, min(lo + _FIT_BLOCK, stop))
-        X = _lag_features(z, block, order)
-        Y = z[block[:, None] + np.arange(1, h_pred + 1)].reshape(len(block), -1)
-        gram += X.T @ X
-        cross += X.T @ Y
-    weights = np.linalg.solve(gram, cross)
-    return DirectForecaster(weights, order, h_pred, n_rows)
+    mean = z.mean(axis=0)
+    X = _lag_features(z - mean, origins, order)
+    Y = z[origins[:, None] + np.arange(1, h_pred + 1)].reshape(len(origins), -1)
+    weights = np.linalg.solve(X.T @ X + DIRECT_RIDGE * np.eye(X.shape[1]), X.T @ Y)
+    weights[-1] -= np.tile(mean, order) @ weights[:-1]
+    return DirectForecaster(weights, order, h_pred, len(origins))
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +276,6 @@ class ForecastErrorReport:
     p99_deg: np.ndarray  # (3,)
     per_horizon_mae_deg: np.ndarray  # (h_pred,)
     n_windows: int
-    d: int
-    h_pred: int
 
 
 def paired_windows(
@@ -316,7 +308,6 @@ def forecast_errors(
     origin's full horizon.
     """
     angles, truth = paired_windows(series, outputs, d)
-    h_pred = angles.shape[1]
     errs = angles - truth
     errs[..., 0] = wrap_pi(errs[..., 0])
     abs_deg = np.abs(np.rad2deg(errs))
@@ -329,6 +320,4 @@ def forecast_errors(
         p99_deg=np.percentile(flat, 99, axis=0),
         per_horizon_mae_deg=abs_deg.mean(axis=(0, 2)),
         n_windows=len(outputs),
-        d=d,
-        h_pred=h_pred,
     )

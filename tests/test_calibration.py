@@ -63,8 +63,13 @@ class TestResiduals:
     def test_score_is_max_norm(self):
         res = np.array([[0.01, 0, 0], [0, 0.03, 0.04], [0, 0, 0.02]])
         assert target_window_max(res) == pytest.approx(0.05)
+        # a stack of windows scores each one
+        stack = np.stack([res, 2 * res, res[::-1]])
+        np.testing.assert_allclose(target_window_max(stack), [0.05, 0.1, 0.05])
         with pytest.raises(DataError):
             target_window_max(np.empty((0, 3)))
+        with pytest.raises(DataError):
+            target_window_max(np.empty((2, 0, 3)))
 
 
 class TestConformal:

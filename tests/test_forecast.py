@@ -13,6 +13,7 @@ from hapbeam.forecast import (
     forecast_linear_trend,
     forecast_persistence,
 )
+from hapbeam.harness import generate_attitude_series
 from hapbeam.io import FORECAST_HEADER, load_forecast_csv, save_forecast_csv
 
 
@@ -160,6 +161,15 @@ class TestAutoregressive:
         assert out.tag == "ar4+linear-fallback"
         np.testing.assert_array_equal(out.angles, forecast_linear_trend(s, r).angles)
 
+    def test_vanishing_yaw_pair_keeps_origin_yaw(self, monkeypatch):
+        n = np.arange(200, dtype=float)
+        s = series_from([0.5 + 1e-3 * n, 2e-4 * n, np.zeros(200)])
+        monkeypatch.setattr(fc, "_fit_ar_forecast", lambda z, order, h_pred: np.zeros(h_pred))
+        out = forecast_ar(s, req(150, l_win=64), order=4)
+        assert out.tag == "ar4"
+        np.testing.assert_array_equal(out.angles[:, 0], s.samples[150, 0])
+        np.testing.assert_array_equal(out.angles[:, 1:], 0.0)
+
 
 class TestDirect:
     TRAIN_END = 420
@@ -194,20 +204,49 @@ class TestDirect:
             assert np.array_equal(got.angles, f(s, req(t, l_win=96)).angles)
             assert got.tag == "direct24"
 
-    def test_blocked_fit_matches_whole_design(self):
-        s = self.noisy_series(seed=9)
-        order, h_pred = 8, 5
+    @pytest.mark.parametrize("seed,order,h_pred", [(9, 8, 5), (5, 24, 12)])
+    def test_fit_matches_lstsq_reference(self, seed, order, h_pred):
+        # reference: least squares on the centred design with sqrt(ridge) I
+        # rows appended, the means folded back into the intercept
+        s = self.noisy_series(seed=seed)
         f = fit_direct(s, self.TRAIN_END, order, h_pred)
         z = np.column_stack([np.sin(s.samples[:, 0]), np.cos(s.samples[:, 0]),
                              s.samples[:, 1], s.samples[:, 2]])
-        origins = range(order - 1, self.TRAIN_END - h_pred)
-        X = np.array([[*z[t - order + 1 : t + 1][::-1].ravel(), 1.0] for t in origins])
-        Y = np.array([z[t + 1 : t + h_pred + 1].ravel() for t in origins])
-        ref = np.linalg.solve(X.T @ X + fc.DIRECT_RIDGE * np.eye(X.shape[1]), X.T @ Y)
-        assert len(origins) == f.rows
-        # the normal equations are ill-conditioned (cos yaw sits near -1,
-        # beside the intercept), so compare the fitted values, not the weights
-        np.testing.assert_allclose(X @ f.weights, X @ ref, rtol=0, atol=1e-8)
+        mean = z[: self.TRAIN_END].mean(axis=0)
+
+        def design(zz, origins):
+            return np.array([[*zz[t - order + 1 : t + 1][::-1].ravel(), 1.0] for t in origins])
+
+        fit_origins = range(order - 1, self.TRAIN_END - h_pred)
+        Xc = design(z - mean, fit_origins)
+        Y = np.array([z[t + 1 : t + h_pred + 1].ravel() for t in fit_origins])
+        n_feat = Xc.shape[1]
+        ref, *_ = np.linalg.lstsq(
+            np.vstack([Xc, np.sqrt(fc.DIRECT_RIDGE) * np.eye(n_feat)]),
+            np.vstack([Y, np.zeros((n_feat, Y.shape[1]))]),
+            rcond=None,
+        )
+        ref[-1] -= np.tile(mean, order) @ ref[:-1]
+        assert len(fit_origins) == f.rows
+        X = design(z, range(order - 1, len(z)))
+        np.testing.assert_allclose(X @ f.weights, X @ ref, rtol=0, atol=1e-11)
+
+    @pytest.mark.parametrize("attitude", [(0.0, 0.0, 0.0), (2.0, 0.03, -0.02)])
+    def test_constant_series_forecasts_the_constant(self, attitude):
+        s = generate_attitude_series(3, 600, amplitude_scale=0, noise_scale=0)
+        s = AttitudeSeries.build(0.1, s.samples + attitude)
+        f = fit_direct(s, self.TRAIN_END, 24, 12)
+        for t in (450, 587):
+            got = f(s, req(t, l_win=96)).angles
+            # the ridge shrinks the intercept by about ridge / rows
+            np.testing.assert_allclose(got, np.tile(attitude, (12, 1)), rtol=0, atol=1e-9)
+
+    def test_vanishing_yaw_pair_keeps_origin_yaw(self):
+        s = self.noisy_series()
+        f = fc.DirectForecaster(np.zeros((4 * 24 + 1, 4 * 12)), 24, 12, rows=1)
+        for t, out in zip((450, 587), f(s, [req(450, l_win=96), req(587, l_win=96)])):
+            np.testing.assert_array_equal(out.angles[:, 0], s.samples[t, 0])
+            np.testing.assert_array_equal(out.angles[:, 1:], 0.0)
 
     def test_exact_on_noiseless_sinusoids(self):
         # yaw rotates steadily through +-pi, so its sine and cosine are
