@@ -76,11 +76,9 @@ from .harness import (
 )
 from .io import (
     emit_results,
-    load_calibration_report,
     load_config_json,
     load_forecast_csv,
     load_telemetry_csv,
-    read_snapshots_csv,
     save_calibration_report,
     save_forecast_csv,
     save_telemetry_csv,

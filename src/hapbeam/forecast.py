@@ -163,10 +163,10 @@ def forecast_ar(
 ) -> ForecastOutput:
     """Autoregressive least-squares forecaster.
 
-    Pitch and roll are fit directly; yaw is fit as a sine/cosine pair,
-    renormalized, and recombined with atan2 so the +-pi seam never enters
-    the regression.  A degenerate fit falls back to the linear-trend
-    forecaster and tags the output accordingly.
+    Pitch and roll are fit directly; yaw is fit as a sine/cosine pair and
+    recombined with atan2 (the window's last yaw where the pair vanishes),
+    so the +-pi seam never enters the regression.  A degenerate fit falls
+    back to the linear-trend forecaster and tags the output accordingly.
     """
     if order < 1:
         raise ValueError(f"AR order must be >= 1, got {order}")

@@ -179,7 +179,6 @@ class UserSpec:
 @dataclass(frozen=True)
 class ChannelSpec:
     preset: str = "rician-strong"
-    beta_mode: str = "fspl"  # fspl | normalized
     noise_power_w: float = 1e-13
     bandwidth_hz: float = 1.0
 
@@ -190,8 +189,6 @@ class ChannelSpec:
                 f"channel.preset must be one of {tuple(CHANNEL_PRESETS)}, "
                 f"got {self.preset!r}"
             )
-        if self.beta_mode not in ("fspl", "normalized"):
-            raise ConfigError("channel.beta_mode must be 'fspl' or 'normalized'")
         if not (self.noise_power_w > 0 and self.bandwidth_hz > 0):
             raise ConfigError("channel.noise_power_w and bandwidth_hz must be positive")
 
@@ -490,10 +487,6 @@ _MEAN_COLUMNS = ("QAR", "sum_rate", "ee", "power", "feasible", "max_pointing_err
 
 def _aggregate(columns: dict) -> dict:
     agg = {"n_snapshots": float(len(columns["snapshot"]))}
-    if len(columns["snapshot"]) == 0:
-        agg["empty"] = 1.0
-        return agg
-    agg["empty"] = 0.0
     for name in _MEAN_COLUMNS:
         agg[f"mean_{name}"] = float(np.mean(columns[name]))
     for name in _PCTL_COLUMNS:
@@ -562,11 +555,7 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
     forecasts = issue(eval_origins)
     params = ChannelParams.build(
         kappa=CHANNEL_PRESETS[config.channel.preset],
-        beta=(
-            fspl_gain(cfg.wavelength, geom.distance)
-            if config.channel.beta_mode == "fspl"
-            else np.ones(K)
-        ),
+        beta=fspl_gain(cfg.wavelength, geom.distance),
         noise_power=config.channel.noise_power_w,
         bandwidth=config.channel.bandwidth_hz,
         num_users=K,

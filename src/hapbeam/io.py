@@ -5,16 +5,18 @@ file or directory.
 
 Angles cross the disk boundary as decimal-degree text produced by the
 high-precision converters in units.py, so a save/load cycle returns the
-exact in-memory radians.  Result floats are written with repr, which the
-reader inverts exactly; two identical runs therefore produce byte-identical
+exact in-memory radians.  Result floats are written with repr, which float
+inverts exactly; two identical runs therefore produce byte-identical
 snapshot tables.
 
-The three CSV formats share one writer (LF line ends) and one strict
-reader: the header must match after stripping; blank lines are skipped;
-every row has one field per column; and a cell that does not parse raises
-a ParseError naming the path, the file line (the header is line 1) and the
-column.  Every reader reports a path it cannot read (missing, a directory,
-no permission) as a DataError "cannot read <path>: <reason>".
+The three CSV formats share one writer (LF line ends).  snapshots.csv,
+summary.json and calibration.txt are written, never read back.  The two
+input tables, telemetry and forecast replay, share one strict reader: the
+header must match after stripping; blank lines are skipped; every row has
+one field per column; and a cell that does not parse raises a ParseError
+naming the path, the file line (the header is line 1) and the column.
+Every reader reports a path it cannot read (missing, a directory, no
+permission) as a DataError "cannot read <path>: <reason>".
 """
 
 import json
@@ -199,62 +201,11 @@ def write_snapshots_csv(path, columns: dict) -> None:
     _write_table(path, SNAPSHOT_COLUMNS, zip(*cells, strict=True))
 
 
-def read_snapshots_csv(path) -> dict:
-    table = {name: [] for name in SNAPSHOT_COLUMNS}
-    for _, cells in _read_table(path, SNAPSHOT_COLUMNS):
-        for column, cell in zip(table.values(), cells):
-            column.append(cell)
-    return {
-        name: column if kind is str else np.asarray(column, dtype=kind)
-        for (name, kind), column in zip(SNAPSHOT_COLUMNS.items(), table.values())
-    }
-
-
 def save_calibration_report(path, report: CalibrationReport) -> None:
     values = (report.delta_omega, report.rho, report.n, report.d, report.h_pred)
     _write_lines(
         path, [f"{key} = {kind(v)}" for (key, kind), v in zip(REPORT_KEYS.items(), values)]
     )
-
-
-def load_calibration_report(path) -> CalibrationReport:
-    """Strict reader of `key = value` lines: every key of REPORT_KEYS once,
-    no other key, and each value in its range."""
-    path = Path(path)
-    text = {}
-    for i, line in enumerate(_read_text(path).splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}: line {i}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in REPORT_KEYS:
-            raise ParseError(f"{path}: line {i}: unknown key {key!r}")
-        if key in text:
-            raise ParseError(f"{path}: line {i}: duplicate key {key!r}")
-        text[key] = value.strip()
-    missing = [key for key in REPORT_KEYS if key not in text]
-    if missing:
-        raise ParseError(f"{path}: missing keys: {missing}")
-    values = {}
-    for key, kind in REPORT_KEYS.items():
-        try:
-            values[key] = kind(text[key])
-        except ValueError:
-            raise ParseError(f"{path}: {key}: {text[key]!r}") from None
-    delta_omega, rho, n, d, h_pred = values.values()
-    in_range = {
-        "delta_omega_rad": (math.isfinite(delta_omega) and delta_omega >= 0, "finite, >= 0"),
-        "rho": (0 < rho < 1, "0 < rho < 1"),
-        "n": (n >= 1, "n >= 1"),
-        "d": (0 <= d < h_pred, "0 <= d < h_pred"),
-    }
-    for key, (ok, rule) in in_range.items():
-        if not ok:
-            raise ParseError(f"{path}: {key} = {text[key]} is out of range ({rule})")
-    return CalibrationReport(delta_omega, rho, n, d, h_pred)
 
 
 def _result_payload(result, include_snapshots: bool) -> dict:

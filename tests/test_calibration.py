@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,8 +11,8 @@ from hapbeam.calibration import (
     target_window_max,
     window_residuals,
 )
-from hapbeam.errors import DataError, ParseError
-from hapbeam.io import load_calibration_report, save_calibration_report
+from hapbeam.errors import DataError
+from hapbeam.io import save_calibration_report
 from hapbeam.forecast import AttitudeSeries, ForecastOutput
 from hapbeam.geometry import (
     EulerZYX,
@@ -114,60 +112,27 @@ class TestConformal:
 
 class TestReport:
     def make_report(self):
-        return CalibrationReport(delta_omega=0.0123456789, rho=0.1, n=100, d=6, h_pred=12)
+        # a radius whose repr needs all 17 significant digits
+        return CalibrationReport(
+            delta_omega=np.nextafter(0.0123456789, 1.0), rho=0.1, n=100, d=6, h_pred=12
+        )
 
     def test_save_load_round_trip(self, tmp_path):
+        # calibration.txt is written, never read back: each written value
+        # parses with float or int to the report's value bit for bit
         rep = self.make_report()
         p = tmp_path / "calibration.txt"
         save_calibration_report(p, rep)
-        got = load_calibration_report(p)
-        assert got.delta_omega == rep.delta_omega
-        assert got.rho == rep.rho
-        assert got.n == rep.n
-        assert got.d == rep.d
-        assert got.h_pred == rep.h_pred
+        text = dict(line.split(" = ") for line in p.read_text().splitlines())
+        assert float(text["delta_omega_rad"]).hex() == float(rep.delta_omega).hex()
+        assert float(text["rho"]).hex() == rep.rho.hex()
+        assert [int(text[k]) for k in ("n", "d", "h_pred")] == [rep.n, rep.d, rep.h_pred]
 
     def test_saved_keys_are_the_radius_and_protocol(self, tmp_path):
         p = tmp_path / "calibration.txt"
         save_calibration_report(p, self.make_report())
         keys = [line.partition("=")[0].strip() for line in p.read_text().splitlines()]
         assert keys == ["delta_omega_rad", "rho", "n", "d", "h_pred"]
-
-    def test_old_moment_key_rejected(self, tmp_path):
-        p = tmp_path / "c.txt"
-        save_calibration_report(p, self.make_report())
-        p.write_text(p.read_text() + "mu_omega = 0.0 0.0 0.0\n")
-        with pytest.raises(ParseError, match="unknown key 'mu_omega'"):
-            load_calibration_report(p)
-
-    def test_unknown_key_rejected(self, tmp_path):
-        p = tmp_path / "c.txt"
-        save_calibration_report(p, self.make_report())
-        p.write_text(p.read_text() + "bogus = 1\n")
-        with pytest.raises(ParseError, match="unknown key"):
-            load_calibration_report(p)
-
-    @pytest.mark.parametrize(
-        "key, value", [("delta_omega_rad", "nan"), ("rho", "7"), ("n", "-3"), ("d", "20")]
-    )
-    def test_out_of_range_value_rejected(self, tmp_path, key, value):
-        p = tmp_path / "c.txt"
-        save_calibration_report(p, self.make_report())  # h_pred = 12
-        lines = [
-            f"{key} = {value}" if line.startswith(f"{key} =") else line
-            for line in p.read_text().splitlines()
-        ]
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match=re.escape(f"{p}: {key} = {value} is out of range")):
-            load_calibration_report(p)
-
-    def test_missing_key_rejected(self, tmp_path):
-        p = tmp_path / "c.txt"
-        save_calibration_report(p, self.make_report())
-        lines = [l for l in p.read_text().splitlines() if not l.startswith("rho")]
-        p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="missing"):
-            load_calibration_report(p)
 
 
 class TestEndToEndCalibrate:

@@ -63,15 +63,12 @@ from hapbeam.io import (
     SNAPSHOT_COLUMNS,
     TELEMETRY_HEADER,
     emit_results,
-    load_calibration_report,
     load_forecast_csv,
     load_telemetry_csv,
-    read_snapshots_csv,
     save_forecast_csv,
     save_telemetry_csv,
     write_snapshots_csv,
 )
-from hapbeam.harness import _aggregate
 from hapbeam.solver import SnapshotProblem, solve_snapshot
 
 FAST = {
@@ -111,6 +108,7 @@ class TestScenarioConfig:
             {"forecaster": {"order": 0}},
             {"horizon": {"l_win": 50}},
             {"calibration": {"grid": 9}},  # the lattice size is no longer a key
+            {"channel": {"beta_mode": "fspl"}},  # nor the path-loss switch
             {"channel": {"noise_power_w": 0.0}},
             {"channel": {"bandwidth_hz": -1.0}},
             {"hap": {"altitude_m": 0.0}},
@@ -772,14 +770,8 @@ class TestIo:
                 load_forecast_csv, lambda f: {t: o.angles.tolist() for t, o in f.items()},
                 FORECAST_HEADER, ["5,1,1,2,3", "5,2,4,5,6"], "pitch_deg",
             ),
-            (
-                read_snapshots_csv, lambda c: {k: list(v) for k, v in c.items()},
-                SNAPSHOT_COLUMNS,
-                ["0,forecast,4,0.5,1.0,0.1,2.0,1.0,0.3", "1,forecast,4,0.75,1.5,0.2,3.0,1.0,0.4"],
-                "QAR",
-            ),
         ],
-        ids=["telemetry", "forecast", "snapshots"],
+        ids=["telemetry", "forecast"],
     )
     def test_reader_contract(self, tmp_path, load, plain, header, rows, bad_column):
         p = tmp_path / "table.csv"
@@ -830,31 +822,26 @@ class TestIo:
         assert found == []
 
     def test_snapshots_round_trip(self, tmp_path):
+        # snapshots.csv is written, never read back: every written cell
+        # parses with int or float to the in-memory value bit for bit
         res = run_experiment(ScenarioConfig.from_dict({**FAST, "snapshots": 6}))
         p = tmp_path / "snapshots.csv"
         write_snapshots_csv(p, res.snapshots)
-        back = read_snapshots_csv(p)
-        assert back["mode"] == res.snapshots["mode"]
-        for name in ("snapshot", "K", "QAR", "sum_rate", "ee", "power", "feasible",
-                     "max_pointing_err_deg"):
-            assert np.array_equal(back[name], np.asarray(res.snapshots[name])), name
+        header, *lines = p.read_text().splitlines()
+        assert header == ",".join(SNAPSHOT_COLUMNS)
+        cells = dict(zip(SNAPSHOT_COLUMNS, zip(*(line.split(",") for line in lines))))
+        assert list(cells["mode"]) == res.snapshots["mode"]
+        for name in ("snapshot", "K"):
+            assert [int(c) for c in cells[name]] == list(res.snapshots[name]), name
+        for name in ("QAR", "sum_rate", "ee", "power", "feasible", "max_pointing_err_deg"):
+            got = np.array([float(c) for c in cells[name]])
+            assert got.tobytes() == np.asarray(res.snapshots[name], float).tobytes(), name
 
     def test_empty_run_flagged(self, tmp_path):
-        empty = {
-            name: []
-            for name in (
-                "snapshot", "mode", "K", "QAR", "sum_rate", "ee", "power",
-                "feasible", "max_pointing_err_deg", "solve_time_s",
-            )
-        }
-        agg = _aggregate({k: (v if k == "mode" else np.asarray(v)) for k, v in empty.items()})
-        assert agg["empty"] == 1.0
-        assert agg["n_snapshots"] == 0.0
+        empty = {name: [] for name in (*SNAPSHOT_COLUMNS, "solve_time_s")}
         p = tmp_path / "empty.csv"
         write_snapshots_csv(p, empty)
-        assert p.read_text().strip().count("\n") == 0  # header only
-        back = read_snapshots_csv(p)
-        assert len(back["snapshot"]) == 0
+        assert p.read_text() == ",".join(SNAPSHOT_COLUMNS) + "\n"  # header only
 
 
 class TestCli:
@@ -875,8 +862,8 @@ class TestCli:
             "--order", "12", "--out", str(rep),
         )
         assert code == 0
-        loaded = load_calibration_report(rep)
-        assert loaded.delta_omega > 0
+        values = dict(line.split(" = ") for line in rep.read_text().splitlines())
+        assert float(values["delta_omega_rad"]) > 0
 
         capsys.readouterr()  # drop output from the earlier subcommands
         code = self.run_cli(
@@ -897,8 +884,7 @@ class TestCli:
         for name in ("snapshots.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         assert (out1 / "calibration.txt").exists()
-        table = read_snapshots_csv(out1 / "snapshots.csv")
-        assert len(table["snapshot"]) == 8
+        assert len((out1 / "snapshots.csv").read_text().splitlines()) == 1 + 8
 
     def test_run_json_format_embeds_snapshots(self, tmp_path):
         scen = tmp_path / "scen.json"
@@ -1181,7 +1167,9 @@ class TestCli:
             "forecaster": {"kind": "external", "path": str(tmp_path / "nope.csv")},
         }))
         assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 0
-        assert read_snapshots_csv(tmp_path / "o" / "snapshots.csv")["mode"] == ["ideal"] * 5
+        header, *rows = (tmp_path / "o" / "snapshots.csv").read_text().splitlines()
+        mode = header.split(",").index("mode")
+        assert [row.split(",")[mode] for row in rows] == ["ideal"] * 5
 
     def test_missing_external_forecast_file_exit_3(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
