@@ -100,13 +100,14 @@ def sinr_and_rates(
     """Per-user SINR and Shannon rate for a digital beamformer D.
 
     G = H_eff @ D; SINR_k = |G_kk|^2 / (sum_{j != k} |G_kj|^2 + noise);
-    rate_k = bandwidth * log2(1 + SINR_k).
+    rate_k = bandwidth * log2(1 + SINR_k).  A (T, N_RF, K) stack of
+    beamformers gives (T, K) arrays, each row equal to its single call.
     """
     if noise_power <= 0:
         raise ValueError("noise power must be positive")
     G = H_eff @ D
     p = np.abs(G) ** 2
-    sig = np.diagonal(p).copy()
-    interf = p.sum(axis=1) - sig
+    sig = p.diagonal(0, -2, -1).copy()
+    interf = p.sum(axis=-1) - sig
     sinr = sig / (interf + noise_power)
     return sinr, bandwidth * np.log2(1.0 + sinr)

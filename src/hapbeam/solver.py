@@ -15,7 +15,9 @@ error is certified.  The solve pipeline:
    at the chosen dual, before a final scaling projection;
 3. strict repair drops the worst-violating admitted user until every
    admitted rate clears its floor, then adds back any certified user that
-   fits without breaking feasibility;
+   fits without breaking feasibility: each add-back scan pass solves all of
+   its trials, which share one admitted set plus one user each, as one
+   stacked solve and keeps the first feasible trial in scan order;
 4. optional refinement sweeps re-derive the scalars from the current
    beamformer and accept an iterate only when it stays feasible and does
    not lower the objective.
@@ -176,20 +178,36 @@ def required_power_proxy(problem: SnapshotProblem) -> np.ndarray:
 
 
 def transmit_power(problem: SnapshotProblem, D: np.ndarray) -> float:
-    """||A D||_F^2 through the analog Gram."""
-    return float(np.vdot(D, problem.analog_gram @ D).real)
+    """||A D||_F^2 through the analog Gram.  A (T, N_RF, K) stack gives the
+    (T,) powers; a (1, N K) @ (N K, 1) product per slice is the dot product
+    `np.vdot` takes of one beamformer."""
+    GD = problem.analog_gram @ D
+    if D.ndim == 2:
+        return float(np.vdot(D, GD).real)
+    T = len(D)
+    return (D.conj().reshape(T, 1, -1) @ GD.reshape(T, -1, 1)).real[:, 0, 0]
 
 
 def project_power(problem: SnapshotProblem, D: np.ndarray) -> np.ndarray:
     """Feasibility projection: scale by min(1, sqrt(P_max / power)).  The
     square root and the scaling round, so a scaled D that still measures
-    above P_max is shrunk until `transmit_power` is within the budget."""
+    above P_max is shrunk until `transmit_power` is within the budget.
+    A (T, N_RF, K) stack is projected slice by slice."""
     p = transmit_power(problem, D)
-    scale = min(1.0, np.sqrt(problem.p_max / (p + EPS_P)))
-    out = D * scale
-    while p > problem.p_max and transmit_power(problem, out) > problem.p_max:
-        scale *= SHRINK
+    if D.ndim == 2:
+        scale = min(1.0, np.sqrt(problem.p_max / (p + EPS_P)))
         out = D * scale
+        while p > problem.p_max and transmit_power(problem, out) > problem.p_max:
+            scale *= SHRINK
+            out = D * scale
+        return out
+    scale = np.minimum(1.0, np.sqrt(problem.p_max / (p + EPS_P)))
+    out = D * scale[:, None, None]
+    over = p > problem.p_max
+    while over.any():
+        over &= transmit_power(problem, out) > problem.p_max
+        scale[over] *= SHRINK
+        out = D * scale[:, None, None]
     return out
 
 
@@ -261,17 +279,45 @@ def kkt_decompose(
     by D = B Z / (lam + nu) with power sum ||Z_i||^2 / (lam_i + nu)^2.
     reg = REG_REL * tr(W^H C W)/N_RF keeps rank-deficient C (fewer admitted
     users than chains at nu = 0) solvable as the limit of the regularized
-    path."""
-    idx = np.flatnonzero(admitted)
-    Hm = problem.h_eff[idx] @ problem.whitener  # rows (W^H h_k)^H
-    C = (Hm.conj().T * (scalars.w[idx] * np.abs(scalars.u[idx]) ** 2)) @ Hm
-    trace = C.trace().real
-    if trace <= 0.0:  # scalars and right-hand sides all vanish: D = 0 at any shift
-        idx, Hm = idx[:0], Hm[:0]
-    rhs = Hm.conj().T * (scalars.w[idx] * scalars.u[idx].conj())
+    path.
+
+    A (T, K) stack of masks that all admit the same number n of users gives
+    the T decompositions on a leading axis, idx (T, n), each slice equal to
+    its single call.  A set whose trace is <= 0 has D = 0 at every shift:
+    alone it keeps no users; in a stack it keeps its shape, with B = 0,
+    Z = 0 and lam = 1, so that every shift rebuilds exact zeros."""
+    admitted = np.asarray(admitted)
+    if admitted.ndim == 1:
+        idx = np.flatnonzero(admitted)
+        Hm = problem.h_eff[idx] @ problem.whitener  # rows (W^H h_k)^H
+        C = (Hm.conj().T * (scalars.w[idx] * np.abs(scalars.u[idx]) ** 2)) @ Hm
+        trace = C.trace().real
+        if trace <= 0.0:  # scalars and right-hand sides all vanish: D = 0 at any shift
+            idx, Hm = idx[:0], Hm[:0]
+        rhs = Hm.conj().T * (scalars.w[idx] * scalars.u[idx].conj())
+        lam, U = np.linalg.eigh(C)
+        reg = REG_REL * max(trace, 0.0) / C.shape[0]
+        return idx, problem.whitener @ U, np.maximum(lam, 0.0) + reg, U.conj().T @ rhs
+    # the same operations on (T, ...) stacks, one BLAS or LAPACK call per slice
+    n = admitted.sum(1)
+    if (n != n[0]).any():
+        raise ValueError(f"stacked admitted sets differ in size: {n.tolist()}")
+    idx = np.nonzero(admitted)[1].reshape(len(n), n[0])
+    w, u = scalars.w[idx], scalars.u[idx]
+    Hm = problem.h_eff[idx] @ problem.whitener
+    HmH = Hm.conj().swapaxes(1, 2)
+    C = (HmH * (w * np.abs(u) ** 2)[:, None, :]) @ Hm
+    trace = C.trace(axis1=1, axis2=2).real
+    rhs = HmH * (w * u.conj())[:, None, :]
     lam, U = np.linalg.eigh(C)
-    reg = REG_REL * max(trace, 0.0) / C.shape[0]
-    return idx, problem.whitener @ U, np.maximum(lam, 0.0) + reg, U.conj().T @ rhs
+    reg = REG_REL * np.maximum(trace, 0.0) / C.shape[-1]
+    B = problem.whitener @ U
+    lam = np.maximum(lam, 0.0) + reg[:, None]
+    Z = U.conj().swapaxes(1, 2) @ rhs
+    dead = trace <= 0.0
+    if dead.any():
+        B[dead], lam[dead], Z[dead] = 0.0, 1.0, 0.0
+    return idx, B, lam, Z
 
 
 def kkt_reconstruct(
@@ -288,27 +334,56 @@ def kkt_reconstruct(
     so nu prices the transmit power ||A D||^2 that the budget bounds.  C is
     eigendecomposed once per admitted set by `kkt_decompose`; pass that as
     `eig` to reuse it across shifts, otherwise it is built here.  A shift
-    then only rescales the eigenvalues: D = B Z / (lam + nu).
+    then only rescales the eigenvalues: D = B Z / (lam + nu).  A (T, K)
+    stack of masks takes a (T,) array of shifts and gives (T, N_RF, K).
     """
-    if nu < 0:
-        raise ValueError(f"dual variable must be >= 0, got {nu}")
     idx, B, lam, Z = kkt_decompose(problem, admitted, scalars) if eig is None else eig
-    D = np.zeros((problem.h_eff.shape[1], problem.num_users), dtype=complex)
-    D[:, idx] = B @ (Z / (lam + nu)[:, None])
+    if idx.ndim == 1:
+        if nu < 0:
+            raise ValueError(f"dual variable must be >= 0, got {nu}")
+        D = np.zeros((problem.h_eff.shape[1], problem.num_users), dtype=complex)
+        D[:, idx] = B @ (Z / (lam + nu)[:, None])
+        return D
+    nu = np.asarray(nu, dtype=float)
+    if (nu < 0).any():
+        raise ValueError(f"dual variables must be >= 0, got {nu}")
+    T = len(idx)
+    D = np.zeros((T, problem.h_eff.shape[1], problem.num_users), dtype=complex)
+    cols = B @ (Z / (lam + nu[..., None])[:, :, None])
+    D[np.arange(T)[:, None], :, idx] = cols.swapaxes(1, 2)
     return D
 
 
-def _secular_terms(eig: tuple) -> tuple[np.ndarray, np.ndarray]:
+def _secular_terms(eig: tuple):
     """(lam_i, c_i = ||Z_i||^2) of the power sum, without the c_i = 0 terms:
-    an empty or all-zero admitted set has none and power 0 at every shift."""
+    an empty or all-zero admitted set has none and power 0 at every shift.
+    A stacked decomposition gives a list of one such pair per slice, since
+    each slice keeps its own terms."""
     _, _, lam, Z = eig
-    c = (Z * Z.conj()).real.sum(axis=1)
+    c = (Z * Z.conj()).real.sum(axis=-1)
     keep = c > 0.0
-    return lam[keep], c[keep]
+    if c.ndim == 1:
+        return lam[keep], c[keep]
+    return [(lam_t[keep_t], c_t[keep_t]) for lam_t, c_t, keep_t in zip(lam, c, keep)]
 
 
 def _rates(problem: SnapshotProblem, D: np.ndarray):
     return sinr_and_rates(problem.h_eff, D, problem.noise_power, problem.bandwidth)
+
+
+def _newton_dual(lam, c, p_max: float, ridge: float) -> tuple[float, int]:
+    """Newton's method on one set's secular terms: (nu, power evaluations)."""
+    target = 0.5 * (1.0 + POWER_BAND) * p_max
+    nu = 0.0
+    for n_ev in range(1, MAX_BISECT + 2):
+        s = 1.0 / (lam + (nu + ridge))
+        cs2 = c * s * s
+        p = float(cs2.sum())
+        if p <= p_max:
+            return nu, n_ev
+        # Newton on 1/sqrt(p): d/dnu p^{-1/2} = p^{-3/2} sum c_i s_i^3
+        nu += p * (math.sqrt(p / target) - 1.0) / float(cs2 @ s)
+    raise InvariantError(f"power dual did not converge in {MAX_BISECT} Newton steps")
 
 
 def power_dual_bisection(
@@ -331,35 +406,36 @@ def power_dual_bisection(
     and slope from the secular terms of `_secular_terms`, and the
     beamformer is built by `kkt_reconstruct` once, at the chosen nu.
     Returns (nu, D, number of power evaluations); more than MAX_BISECT
-    Newton steps raise InvariantError.
+    Newton steps raise InvariantError.  A (T, K) stack of equal-size masks
+    is decomposed and reconstructed as one stack, with one Newton search
+    per slice: nu and the evaluation counts are then (T,) arrays.
     """
     eig = kkt_decompose(problem, admitted, scalars)
-    lam, c = _secular_terms(eig)
-    target = 0.5 * (1.0 + POWER_BAND) * problem.p_max
-    nu = 0.0
-    for n_ev in range(1, MAX_BISECT + 2):
-        s = 1.0 / (lam + (nu + ridge))
-        cs2 = c * s * s
-        p = float(cs2.sum())
-        if p <= problem.p_max:
-            D = kkt_reconstruct(problem, admitted, scalars, nu + ridge, eig)
-            return nu, D, n_ev
-        # Newton on 1/sqrt(p): d/dnu p^{-1/2} = p^{-3/2} sum c_i s_i^3
-        nu += p * (math.sqrt(p / target) - 1.0) / float(cs2 @ s)
-    raise InvariantError(f"power dual did not converge in {MAX_BISECT} Newton steps")
+    if eig[0].ndim == 1:
+        lam, c = _secular_terms(eig)
+        nu, n_ev = _newton_dual(lam, c, problem.p_max, ridge)
+    else:
+        terms = _secular_terms(eig)
+        nu, n_ev = map(np.array, zip(*(
+            _newton_dual(lam, c, problem.p_max, ridge) for lam, c in terms
+        )))
+    D = kkt_reconstruct(problem, admitted, scalars, nu + ridge, eig)
+    return nu, D, n_ev
 
 
 def _solve_projected(problem, admitted, scalars, ridge: float = 0.0):
     """Power-dual reconstruction, exact power projection and the resulting
-    rates: (D, rates, dual evaluations)."""
+    rates: (D, rates, dual evaluations), each with a leading axis for a
+    (T, K) stack of masks."""
     _, D, n_ev = power_dual_bisection(problem, admitted, scalars, ridge)
     D = project_power(problem, D)
     _, rates = _rates(problem, D)
     return D, rates, n_ev
 
 
-def _feasible(problem: SnapshotProblem, admitted: np.ndarray, rates: np.ndarray) -> bool:
-    return bool(np.all(rates[admitted] >= problem.r_min[admitted]))
+def _feasible(problem: SnapshotProblem, admitted: np.ndarray, rates: np.ndarray):
+    """Every admitted rate clears its floor; one flag per slice of a stack."""
+    return ((rates >= problem.r_min) | ~admitted).all(-1)
 
 
 def strict_repair(
@@ -374,23 +450,21 @@ def strict_repair(
     the largest QoS shortfall per unit of required power, ties to the lowest
     index.  Terminates within K drops.  The add-back pool is every
     certified user outside the admitted set, scanned in ascending pi_k
-    until a full pass adds no one.
+    until a full pass adds no one.  One pass is one stacked solve of all
+    its trials (the admitted set plus one candidate each); the first
+    feasible trial in scan order is accepted, and `bisection_evals` counts
+    the trials up to and including it, as a trial-by-trial scan would.
     """
     K = problem.num_users
     admitted = np.asarray(admitted0, dtype=bool) & problem.certified
     stats = {"drops": 0, "addbacks": 0, "bisection_evals": 0}
-
-    def solve_for(mask):
-        D, rates, n_ev = _solve_projected(problem, mask, scalars)
-        stats["bisection_evals"] += n_ev
-        return D, rates
-
     D = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
     for _ in range(K + 1):
         if not admitted.any():
             D = np.zeros_like(D)
             break
-        D, rates = solve_for(admitted)
+        D, rates, n_ev = _solve_projected(problem, admitted, scalars)
+        stats["bisection_evals"] += n_ev
         gaps = np.maximum(problem.r_min - rates, 0.0)
         gaps[~admitted] = 0.0
         if not gaps.any():
@@ -405,18 +479,19 @@ def strict_repair(
     # accepted user restarts the scan, a scan that accepts no one ends it
     order = np.lexsort((np.arange(K), scalars.pi))
     while True:
-        for k in order:
-            if admitted[k] or not problem.certified[k]:
-                continue
-            trial = admitted.copy()
-            trial[k] = True
-            D_t, rates_t = solve_for(trial)
-            if _feasible(problem, trial, rates_t):
-                admitted, D = trial, D_t
-                stats["addbacks"] += 1
-                break
-        else:
+        cand = order[problem.certified[order] & ~admitted[order]]
+        if not cand.size:
             return admitted, D, stats
+        trials = np.repeat(admitted[None], cand.size, axis=0)
+        trials[np.arange(cand.size), cand] = True
+        D_t, rates_t, n_ev = _solve_projected(problem, trials, scalars)
+        fits = np.flatnonzero(_feasible(problem, trials, rates_t))
+        stop = fits[0] + 1 if fits.size else cand.size
+        stats["bisection_evals"] += int(n_ev[:stop].sum())
+        if not fits.size:
+            return admitted, D, stats
+        admitted, D = trials[fits[0]], D_t[fits[0]].copy()
+        stats["addbacks"] += 1
 
 
 OBJECTIVES = ("sum-rate", "ee")

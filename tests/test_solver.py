@@ -494,15 +494,20 @@ class TestRepairAndSolve:
     def test_addback_rescans_after_each_accepted_user(self, monkeypatch):
         # scripted solves on 4 users ranked 0, 1, 2 by pi with user 3 admitted:
         # {0, 3} and any set holding user 2 miss their floors, the rest clear
+        # each add-back pass is one stacked solve of all its trials
         prob = SnapshotProblem.build(np.eye(4, dtype=complex), r_min=1.0,
                                      p_max=1.0, noise_power=1.0)
-        trials = []
+        passes = []
 
         def scripted(problem, mask, scalars, ridge=0.0):
-            users = tuple(np.flatnonzero(mask))
-            trials.append(users)
-            ok = users != (0, 3) and not mask[2]
-            return np.zeros((4, 4), complex), prob.r_min * ok, 1
+            masks = np.atleast_2d(mask)
+            users = [tuple(np.flatnonzero(m)) for m in masks]
+            passes.append(users)
+            ok = np.array([u != (0, 3) and not m[2] for u, m in zip(users, masks)])
+            D, rates = np.zeros((len(masks), 4, 4), complex), prob.r_min * ok[:, None]
+            if mask.ndim == 1:
+                return D[0], rates[0], 1
+            return D, rates, np.ones(len(masks), int)
 
         monkeypatch.setattr(solver, "_solve_projected", scripted)
         sc = SolverScalars(np.zeros(4), np.zeros(4, complex), np.ones(4),
@@ -510,8 +515,12 @@ class TestRepairAndSolve:
         admitted, _, stats = strict_repair(prob, np.array([0, 0, 0, 1], bool), sc)
         assert admitted.tolist() == [True, True, False, True]
         assert stats["addbacks"] == 2 and stats["drops"] == 0
+        # evaluations count the trials up to each accepted one, as a
+        # trial-by-trial scan solves them: 1 + 2 + 1 + 1
+        assert stats["bisection_evals"] == 5
         # the scan restarts at the first-ranked user after each acceptance
-        assert trials == [(3,), (0, 3), (1, 3), (0, 1, 3), (0, 1, 2, 3)]
+        assert passes == [[(3,)], [(0, 3), (1, 3), (2, 3)], [(0, 1, 3), (1, 2, 3)],
+                          [(0, 1, 2, 3)]]
 
     def test_power_on_a_non_admitted_column_is_rejected(self, monkeypatch):
         prob = SnapshotProblem.build(np.array([[1.0, 0.2], [0.98, 0.21]], complex),
