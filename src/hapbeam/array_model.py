@@ -216,8 +216,14 @@ class AngleBox:
             raise ConfigError("angle box must have lo <= hi per axis")
 
     @classmethod
-    def around(cls, theta, phi, half_width: float) -> "AngleBox":
-        return cls(theta - half_width, theta + half_width, phi - half_width, phi + half_width)
+    def around(cls, theta, phi, radius) -> "AngleBox":
+        """The box holding every direction within angle `radius` of (theta,
+        phi): theta +- radius, and phi +- asin(sin radius / sin theta), or phi
+        +- pi where the cap holds a pole (sin theta <= sin min(radius, pi/2))."""
+        st, sr = np.sin(theta), np.sin(np.minimum(radius, np.pi / 2))
+        ratio = np.divide(sr, st, out=np.ones(np.broadcast(st, sr).shape), where=st > sr)
+        half_phi = np.where(st > sr, np.arcsin(ratio), np.pi)
+        return cls(theta - radius, theta + radius, phi - half_phi, phi + half_phi)
 
 
 def _sin2_range(lo, hi) -> tuple[np.ndarray, np.ndarray]:

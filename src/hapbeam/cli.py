@@ -8,6 +8,7 @@ internal invariant violation.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -95,15 +96,9 @@ def cmd_gen_telemetry(args) -> int:
 def cmd_forecast_eval(args) -> int:
     series, outputs = _issue_all(args)
     report = forecast_errors(series, outputs, args.delay)
-    payload = {
-        "forecaster": args.forecaster,
-        "n_windows": report.n_windows,
-        "mae_deg": list(map(float, report.mae_deg)),
-        "rmse_deg": list(map(float, report.rmse_deg)),
-        "p95_deg": list(map(float, report.p95_deg)),
-        "p99_deg": list(map(float, report.p99_deg)),
-        "per_horizon_mae_deg": list(map(float, report.per_horizon_mae_deg)),
-    }
+    payload = {"forecaster": args.forecaster, **{
+        f.name: np.asarray(getattr(report, f.name)).tolist() for f in fields(report)
+    }}
     if args.out:
         write_json(args.out, payload)
         print(f"wrote forecast error report to {args.out}")

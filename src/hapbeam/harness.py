@@ -268,14 +268,13 @@ class AdmissionSpec:
 class CalibrationSpec:
     rho: float = 0.1
     epsilon: float = 0.3  # tolerated worst-case beamforming-gain loss
-    box_halfwidth_deg: float = 3.0  # steering box half-width for the curvature bound
 
     def __post_init__(self):
         _check_types(self, "calibration")
         if not 0 < self.rho < 1:
             raise ConfigError(f"calibration.rho must lie in (0, 1), got {self.rho}")
-        if not (self.epsilon > 0 and self.box_halfwidth_deg > 0):
-            raise ConfigError("calibration epsilon and box half-width must be positive")
+        if not self.epsilon > 0:
+            raise ConfigError(f"calibration.epsilon must be positive, got {self.epsilon}")
 
 
 @dataclass(frozen=True)
@@ -561,22 +560,22 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
         num_users=K,
     )
 
-    # every snapshot at once: (S, 3, 3) beam and truth rotations, (S, K)
-    # steering angles, one certificate call and the pointing errors
+    # every snapshot at once: (S, 3, 3) beam and truth rotations, (S, K) steering
+    # angles, one certificate call over each user's cap of radius delta_omega (the
+    # residual angle bounds how far the true line of sight strays), pointing errors
     beam = np.array([out.angles[hz.delay] for out in forecasts])
     R_beam = euler_to_rotation(EulerZYX(*beam.T)) @ mounting
     R_truth = euler_to_rotation(EulerZYX(*series.samples[slots].T)) @ mounting
     theta, phi = los_to_body_angles(geom.los_unit, R_beam)
-    half = np.deg2rad(config.calibration.box_halfwidth_deg)
-    l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, half))
+    l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, report.delta_omega))
     certified = certify_users(l2, report.delta_omega, config.calibration.epsilon)
     res = rotation_log_vee(R_beam, R_truth)
     # (1, 3) @ (3, 1) per row: the dot product np.linalg.norm takes of one vector
     err = np.degrees(np.sqrt(res[:, None, :] @ res[:, :, None]))[:, 0, 0]
 
     q, ch = config.qos, config.channel
-    qos = dict(r_min=q.r_min, p_max=q.p_max_w, circuit_power=q.circuit_power_w,
-               noise_power=ch.noise_power_w, bandwidth=ch.bandwidth_hz)
+    qos = dict(r_min=q.r_min * ch.bandwidth_hz, p_max=q.p_max_w, bandwidth=ch.bandwidth_hz,
+               circuit_power=q.circuit_power_w, noise_power=ch.noise_power_w)  # bit/s floor
     rows = []
     for lo in range(0, len(slots), BLOCK):
         A = analog_beamformer_at(cfg, geom, R_beam[lo : lo + BLOCK])

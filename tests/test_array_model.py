@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hapbeam.array_model import (
     AngleBox,
@@ -22,6 +24,7 @@ from hapbeam.geometry import (
     euler_to_rotation,
     los_to_body_angles,
     rotation_exp,
+    wrap_pi,
 )
 
 
@@ -235,7 +238,58 @@ class TestGainLoss:
                 assert abs(quad - exact) <= 0.05 * max(exact, 1e-12)
 
 
+def cap_directions(theta, phi, alpha, bearing):
+    """Steering angles of the directions at angle alpha from (theta, phi),
+    bearing measured from the +theta tangent toward +phi.  theta comes from
+    atan2, which stays accurate next to the poles where arccos does not."""
+    center = np.array([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                       np.cos(theta)])
+    e_theta = np.array([np.cos(theta) * np.cos(phi), np.cos(theta) * np.sin(phi),
+                        -np.sin(theta)])
+    e_phi = np.array([-np.sin(phi), np.cos(phi), 0.0])
+    tangent = np.outer(np.cos(bearing), e_theta) + np.outer(np.sin(bearing), e_phi)
+    p = np.outer(np.cos(alpha), center) + np.sin(alpha)[:, None] * tangent
+    return np.arctan2(np.hypot(p[:, 0], p[:, 1]), p[:, 2]), np.arctan2(p[:, 1], p[:, 0])
+
+
+def sample_cap(rng, theta, phi, radius, n):
+    """n directions within `radius` of (theta, phi): half area-uniform in
+    the cap, half on its rim."""
+    alpha = np.concatenate([np.arccos(rng.uniform(np.cos(radius), 1.0, n - n // 2)),
+                            np.full(n // 2, radius)])
+    return cap_directions(theta, phi, alpha, rng.uniform(0.0, 2.0 * np.pi, n))
+
+
 class TestCertificates:
+    @given(
+        theta=st.one_of(st.floats(0.0, 1e-3), st.floats(np.pi - 1e-3, np.pi),
+                        st.floats(0.0, np.pi)),
+        phi=st.floats(-np.pi, np.pi),
+        radius=st.floats(0.0, np.pi),
+        frac=st.floats(0.0, 1.0),
+        bearing=st.floats(0.0, 2.0 * np.pi),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_box_holds_the_cap(self, theta, phi, radius, frac, bearing):
+        # every direction within `radius` of the centre lies in the box, phi
+        # taken modulo 2 pi; the phi excess is measured as arc length, since
+        # phi itself is ill-conditioned next to a pole
+        box = AngleBox.around(theta, phi, radius)
+        th, ph = cap_directions(theta, phi, np.array([frac * radius]), np.array([bearing]))
+        tol = 1e-9
+        assert box.theta_lo - tol <= th[0] <= box.theta_hi + tol
+        mid, half = (box.phi_lo + box.phi_hi) / 2, (box.phi_hi - box.phi_lo) / 2
+        assert (abs(wrap_pi(ph[0] - mid)) - half) * np.sin(th[0]) <= tol
+
+    def test_box_spans_phi_only_where_the_cap_holds_a_pole(self):
+        theta = np.array([0.3, 0.3, np.pi - 0.3, 1.2, np.pi / 2, 0.0, np.pi])
+        radius = np.array([0.1, 0.3, 0.31, np.pi / 2, 0.2, 0.0, 0.01])
+        box = AngleBox.around(theta, 0.5, radius)
+        want = [np.arcsin(np.sin(0.1) / np.sin(0.3)), np.pi, np.pi, np.pi, 0.2, np.pi, np.pi]
+        np.testing.assert_allclose(box.phi_hi - 0.5, want, rtol=1e-15)
+        np.testing.assert_array_equal(box.theta_lo, theta - radius)
+        np.testing.assert_array_equal(box.theta_hi, theta + radius)
+
     def test_q_matrix_psd_and_rayleigh(self):
         cfg = cfg12(1)
         rng = np.random.default_rng(41)
@@ -271,11 +325,13 @@ class TestCertificates:
     def test_closed_form_bound_sound_off_grid(self, cfg):
         # uniform random interior points, not lattice points, of 3 deg boxes
         # straddling theta = 0, phi = +-pi and the extremes of sin^2(theta),
-        # sin^2(phi) and |sin(2 phi)|, and of wider random boxes
+        # sin^2(phi) and |sin(2 phi)|, and of wider random boxes; and points
+        # of each centre's cap, on its rim and inside
         rng = np.random.default_rng(47)
         centers = [(0.0, 0.3), (0.01, -2.0), (np.pi / 2, 0.0), (0.4, np.pi),
                    (1.1, -np.pi), (np.pi, 1.0), (np.pi / 2, np.pi / 4),
-                   (0.6, np.pi / 2), (0.6, -np.pi / 2), (np.pi / 2, -3 * np.pi / 4)]
+                   (0.6, np.pi / 2), (0.6, -np.pi / 2), (np.pi / 2, -3 * np.pi / 4),
+                   (0.06, 0.7), (np.pi - 0.06, -1.3)]  # caps just clear of a pole
         half = [np.deg2rad(3.0)] * len(centers)
         for _ in range(14):
             centers.append((rng.uniform(0, np.pi), rng.uniform(-np.pi, np.pi)))
@@ -290,8 +346,10 @@ class TestCertificates:
         rtol = 64 * np.finfo(float).eps
         for k, ((t, p), h) in enumerate(zip(centers, half)):
             assert l2[k] == spectral_bound_l2(cfg, AngleBox.around(t, p, h))
-            th = rng.uniform(t - h, t + h, 500)
-            ph = rng.uniform(p - h, p + h, 500)
+            # the square box of half-width h, which the cap's box contains, and the cap
+            cap_th, cap_ph = sample_cap(rng, t, p, h, 500)
+            th = np.concatenate([rng.uniform(t - h, t + h, 500), cap_th])
+            ph = np.concatenate([rng.uniform(p - h, p + h, 500), cap_ph])
             Q = np.stack([detune_q_matrix(cfg, a, b) for a, b in zip(th, ph)])
             assert np.all(np.linalg.eigvalsh(Q)[:, -1] <= l2[k] * (1 + rtol))
 

@@ -127,6 +127,7 @@ class TestScenarioConfig:
             {"calibration": {"epsilon": float("nan")}},  # JSON accepts NaN
             {"horizon": {"dt_s": float("nan")}},
             {"users": {"disc_radius_m": float("nan")}},
+            {"calibration": {"box_halfwidth_deg": 3.0}},  # the delta_omega cap replaced it
         ],
     )
     def test_invalid_values(self, raw):
@@ -184,7 +185,7 @@ class TestScenarioConfig:
                 with pytest.raises(ConfigError, match=rf"^{where} must be a finite number"):
                     ScenarioConfig.from_dict({section.name: {f.name: value}})
                 checked += 1
-        assert checked == 16
+        assert checked == 15
 
     @pytest.mark.parametrize("axis", range(3))
     def test_mounting_must_be_finite(self, axis):
@@ -481,6 +482,19 @@ class TestRunExperiment:
                 got = (tmp_path / f"external{h_saved}" / name).read_bytes()
                 assert got == (tmp_path / "internal" / name).read_bytes(), (h_saved, name)
 
+    def test_qos_floor_is_per_hertz(self):
+        # r_min is spectral efficiency: a wider band scales every rate and its
+        # floor alike, so admission is unchanged and the sum-rate scales by B
+        base = run_experiment(ScenarioConfig.from_dict(dict(FAST))).snapshots
+        assert 0 < base["QAR"].mean() < 1
+        for bandwidth in (2.0, 4.0):
+            raw = {**FAST, "channel": {"bandwidth_hz": bandwidth}}
+            res = run_experiment(ScenarioConfig.from_dict(raw))
+            assert res.config.admission.objective == "sum-rate"
+            np.testing.assert_array_equal(res.snapshots["QAR"], base["QAR"])
+            np.testing.assert_array_equal(res.snapshots["sum_rate"],
+                                          bandwidth * base["sum_rate"])
+
     def test_symmetric_users_equal_qar_across_priorities(self):
         # equal floors and equal orthogonal channels: the ranking cannot
         # matter, only how many users fit
@@ -539,7 +553,6 @@ def reference_columns(config: ScenarioConfig):
         bandwidth=config.channel.bandwidth_hz,
         num_users=K,
     )
-    half = np.deg2rad(config.calibration.box_halfwidth_deg)
     columns = {name: [] for name in ("QAR", "sum_rate", "ee", "power", "feasible",
                                      "max_pointing_err_deg")}
     first_slot = t_val_end + hz.delay + 1
@@ -550,10 +563,10 @@ def reference_columns(config: ScenarioConfig):
         rng = np.random.default_rng(np.random.SeedSequence([config.seeds.channel, i]))
         H = synthesize_channel(cfg, geom, R_truth, params, rng)
         theta, phi = los_to_body_angles(geom.los_unit, R_beam)
-        l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, half))
+        l2 = spectral_bound_l2(cfg, AngleBox.around(theta, phi, delta_omega))
         problem = SnapshotProblem.build(
             effective_channel(H, A),
-            r_min=config.qos.r_min,
+            r_min=config.qos.r_min * config.channel.bandwidth_hz,
             p_max=config.qos.p_max_w,
             noise_power=config.channel.noise_power_w,
             bandwidth=config.channel.bandwidth_hz,
