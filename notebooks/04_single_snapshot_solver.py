@@ -58,7 +58,7 @@ print(f"admitted {int(sol.admitted.sum())}/{K} users, QAR {sol.qar:.3f}")
 print(f"sum rate {sol.sum_rate:.3f} bit/s, power {sol.power:.3f} / {problem.p_max} W")
 print(f"energy efficiency {sol.energy_efficiency:.4f} bit/J")
 print("solver path:", {k: sol.stats[k] for k in
-      ("drops", "addbacks", "refine_accepted", "bisection_evals")})
+      ("drops", "addbacks", "refine_accepted", "dual_evals")})
 
 # trust nothing: recompute rates and power from the returned beamformer
 sinr, rates = sinr_and_rates(problem.h_eff, sol.d_matrix, problem.noise_power, 1.0)

@@ -45,5 +45,5 @@ print(f"forecast-mode calibration: delta_omega "
       f"{np.rad2deg(rep.delta_omega):.3f} deg from {rep.n} origins")
 
 out = Path(tempfile.mkdtemp()) / "forecast_run"
-paths = emit_results(results["forecast"], out, fmt="csv")
+paths = emit_results(results["forecast"], out)
 print("emitted:", ", ".join(str(p) for p in paths.values()))

@@ -83,7 +83,6 @@ from .io import (
     save_forecast_csv,
     save_telemetry_csv,
     write_snapshots_csv,
-    write_summary_json,
 )
 from .solver import (
     BeamSolution,

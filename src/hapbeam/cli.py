@@ -80,14 +80,7 @@ def _issue_all(args):
 def cmd_gen_telemetry(args) -> int:
     _check_flags(f"--dt {args.dt}", lambda: HorizonSpec(dt_s=args.dt))
     _check_flags(f"--seed {args.seed}", lambda: SeedSpec(attitude=args.seed))
-    for flag, value in (("--amplitude-scale", args.amplitude_scale),
-                        ("--noise-scale", args.noise_scale)):
-        if not np.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
-    series = generate_attitude_series(
-        args.seed, args.length, args.dt,
-        amplitude_scale=args.amplitude_scale, noise_scale=args.noise_scale,
-    )
+    series = generate_attitude_series(args.seed, args.length, args.dt)
     save_telemetry_csv(args.out, series)
     print(f"wrote {args.length} samples at dt={args.dt}s to {args.out}")
     return 0
@@ -127,7 +120,7 @@ def cmd_calibrate(args) -> int:
 def cmd_run(args) -> int:
     config = ScenarioConfig.from_dict(load_config_json(args.config))
     result = run_experiment(config)
-    paths = emit_results(result, args.out, args.format)
+    paths = emit_results(result, args.out)
     agg = result.aggregates
     print(
         f"{config.compensation}: {int(agg['n_snapshots'])} snapshots, "
@@ -154,7 +147,7 @@ def cmd_sweep(args) -> int:
     index = []
     for i, (overrides, config) in enumerate(cells):
         result = run_experiment(config)
-        emit_results(result, out / f"cell_{i:03d}", args.format)
+        emit_results(result, out / f"cell_{i:03d}")
         agg = result.aggregates
         index.append(
             {
@@ -187,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--length", type=int, default=2600)
     p.add_argument("--dt", type=float, default=0.1)
-    p.add_argument("--amplitude-scale", type=float, default=1.0)
-    p.add_argument("--noise-scale", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_telemetry)
 
@@ -224,13 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one scenario end to end")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("sweep", help="cross-product of scenario overrides")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=cmd_sweep)
     return parser
 

@@ -344,17 +344,11 @@ class ScenarioConfig:
         return cls(**kwargs)
 
 
-def generate_attitude_series(
-    seed: int,
-    length: int,
-    dt: float = 0.1,
-    amplitude_scale: float = 1.0,
-    noise_scale: float = 1.0,
-) -> AttitudeSeries:
+def generate_attitude_series(seed: int, length: int, dt: float = 0.1) -> AttitudeSeries:
     """Synthetic shaking: per axis, 2 or 3 sinusoids (periods 3 to 30 s,
     amplitudes up to 3 deg pitch/roll and 6 deg yaw) plus stationary AR(1)
     noise with coefficient 0.95 and innovation std 0.05 deg.  Bit-identical
-    per seed; zero scales give the constant zero series."""
+    per seed."""
     if length < 1:
         raise ConfigError(f"series length must be >= 1, got {length}")
     rng = np.random.default_rng(seed)
@@ -365,7 +359,7 @@ def generate_attitude_series(
         periods = rng.uniform(3.0, 30.0, n_sin)
         amps = np.deg2rad(rng.uniform(0.2, 1.0, n_sin) * cap_deg)
         phases = rng.uniform(0.0, 2.0 * np.pi, n_sin)
-        x = amplitude_scale * np.sum(
+        x = np.sum(
             amps[:, None] * np.sin(2.0 * np.pi * t[None, :] / periods[:, None]
                                    + phases[:, None]),
             axis=0,
@@ -378,7 +372,7 @@ def generate_attitude_series(
         for n in range(length):
             prev = coeff * prev + innov[n]
             noise[n] = prev
-        axes.append(x + noise_scale * noise)
+        axes.append(x + noise)
     return AttitudeSeries.build(dt, np.column_stack(axes))
 
 

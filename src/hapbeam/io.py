@@ -51,8 +51,8 @@ FORECAST_HEADER = {
     "origin_slot": int, "horizon": int,
     "yaw_deg": _finite_deg, "pitch_deg": _finite_deg, "roll_deg": _finite_deg,
 }
-# Each type also formats its cells (str) and the per-snapshot rows of
-# summary.json; run_experiment builds its columns from these names.
+# snapshots.csv: column name -> type that formats its cells (str), in file
+# order; write_snapshots_csv rejects a result that lacks one of them.
 SNAPSHOT_COLUMNS = {
     "snapshot": int,
     "mode": str,
@@ -208,8 +208,8 @@ def save_calibration_report(path, report: CalibrationReport) -> None:
     )
 
 
-def _result_payload(result, include_snapshots: bool) -> dict:
-    payload = {
+def _result_payload(result) -> dict:
+    return {
         "aggregates": {k: float(v) for k, v in sorted(result.aggregates.items())},
         "calibration": {
             "delta_omega_rad": float(result.calibration.delta_omega),
@@ -225,42 +225,27 @@ def _result_payload(result, include_snapshots: bool) -> dict:
         "num_users": int(result.config.users.count),
         "snapshots": int(result.aggregates["n_snapshots"]),
     }
-    if include_snapshots:
-        payload["per_snapshot"] = {
-            name: [kind(v) for v in result.snapshots[name]]
-            for name, kind in SNAPSHOT_COLUMNS.items()
-        }
-    return payload
 
 
 def write_json(path, payload) -> None:
     _write_lines(path, [json.dumps(payload, indent=2, sort_keys=True)])
 
 
-def write_summary_json(path, result, include_snapshots: bool = False) -> None:
-    write_json(path, _result_payload(result, include_snapshots))
-
-
-def emit_results(result, out_dir, fmt: str = "csv") -> dict:
-    """Write the result bundle into out_dir; returns {name: path}.
-
-    csv: per-snapshot table as snapshots.csv plus summary.json aggregates.
-    json: everything in summary.json, per-snapshot rows embedded.
-    calibration.txt is written either way.
-    """
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+def emit_results(result, out_dir) -> dict:
+    """Write the per-snapshot table as snapshots.csv, the aggregates as
+    summary.json and the calibration report as calibration.txt into
+    out_dir; returns {name: path}."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create output directory {out}: {exc}") from None
-    paths = {}
-    if fmt == "csv":
-        paths["snapshots"] = out / "snapshots.csv"
-        write_snapshots_csv(paths["snapshots"], result.snapshots)
-    paths["summary"] = out / "summary.json"
-    write_summary_json(paths["summary"], result, include_snapshots=fmt == "json")
-    paths["calibration"] = out / "calibration.txt"
+    paths = {
+        "snapshots": out / "snapshots.csv",
+        "summary": out / "summary.json",
+        "calibration": out / "calibration.txt",
+    }
+    write_snapshots_csv(paths["snapshots"], result.snapshots)
+    write_json(paths["summary"], _result_payload(result))
     save_calibration_report(paths["calibration"], result.calibration)
     return paths

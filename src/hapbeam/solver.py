@@ -40,7 +40,7 @@ EPS_P = 1e-12  # guards the power projection against zero power
 SHRINK = 1.0 - 4 * np.finfo(float).eps  # project_power's step when rounding ends over budget
 REG_REL = 1e-9  # relative ridge for the KKT solve and for a singular analog Gram
 W_CLAMP = (1.0, 1e6)  # MMSE weight clamp
-MAX_BISECT = 40  # Newton steps per dual search
+MAX_NEWTON = 40  # Newton steps per dual search
 POWER_BAND = 0.99  # the dual search aims at the middle of [band, 1] * P_max
 
 
@@ -375,7 +375,7 @@ def _newton_dual(lam, c, p_max: float, ridge: float) -> tuple[float, int]:
     """Newton's method on one set's secular terms: (nu, power evaluations)."""
     target = 0.5 * (1.0 + POWER_BAND) * p_max
     nu = 0.0
-    for n_ev in range(1, MAX_BISECT + 2):
+    for n_ev in range(1, MAX_NEWTON + 2):
         s = 1.0 / (lam + (nu + ridge))
         cs2 = c * s * s
         p = float(cs2.sum())
@@ -383,7 +383,7 @@ def _newton_dual(lam, c, p_max: float, ridge: float) -> tuple[float, int]:
             return nu, n_ev
         # Newton on 1/sqrt(p): d/dnu p^{-1/2} = p^{-3/2} sum c_i s_i^3
         nu += p * (math.sqrt(p / target) - 1.0) / float(cs2 @ s)
-    raise InvariantError(f"power dual did not converge in {MAX_BISECT} Newton steps")
+    raise InvariantError(f"power dual did not converge in {MAX_NEWTON} Newton steps")
 
 
 def power_dual_bisection(
@@ -392,8 +392,9 @@ def power_dual_bisection(
     scalars: SolverScalars,
     ridge: float = 0.0,
 ) -> tuple[float, np.ndarray, int]:
-    """Smallest-necessary power dual, found by Newton's method (the name is
-    kept from an earlier bisection): nu = 0 when the unconstrained
+    """Smallest-necessary power dual, found by Newton's method; the name
+    stays because bench/spans.py traces it and tests/test_bench_targets.py
+    requires every traced name to exist.  nu = 0 when the unconstrained
     reconstruction already fits the budget, otherwise Newton steps from
     nu = 0 on 1/sqrt(power(nu)) - 1/sqrt(target), target the middle of
     [POWER_BAND, 1] * P_max.  That function is concave and increasing
@@ -405,7 +406,7 @@ def power_dual_bisection(
     One eigendecomposition serves every nu: each trial nu reads its power
     and slope from the secular terms of `_secular_terms`, and the
     beamformer is built by `kkt_reconstruct` once, at the chosen nu.
-    Returns (nu, D, number of power evaluations); more than MAX_BISECT
+    Returns (nu, D, number of power evaluations); more than MAX_NEWTON
     Newton steps raise InvariantError.  A (T, K) stack of equal-size masks
     is decomposed and reconstructed as one stack, with one Newton search
     per slice: nu and the evaluation counts are then (T,) arrays.
@@ -452,19 +453,19 @@ def strict_repair(
     certified user outside the admitted set, scanned in ascending pi_k
     until a full pass adds no one.  One pass is one stacked solve of all
     its trials (the admitted set plus one candidate each); the first
-    feasible trial in scan order is accepted, and `bisection_evals` counts
+    feasible trial in scan order is accepted, and `dual_evals` counts
     the trials up to and including it, as a trial-by-trial scan would.
     """
     K = problem.num_users
     admitted = np.asarray(admitted0, dtype=bool) & problem.certified
-    stats = {"drops": 0, "addbacks": 0, "bisection_evals": 0}
+    stats = {"drops": 0, "addbacks": 0, "dual_evals": 0}
     D = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
     for _ in range(K + 1):
         if not admitted.any():
             D = np.zeros_like(D)
             break
         D, rates, n_ev = _solve_projected(problem, admitted, scalars)
-        stats["bisection_evals"] += n_ev
+        stats["dual_evals"] += n_ev
         gaps = np.maximum(problem.r_min - rates, 0.0)
         gaps[~admitted] = 0.0
         if not gaps.any():
@@ -487,7 +488,7 @@ def strict_repair(
         D_t, rates_t, n_ev = _solve_projected(problem, trials, scalars)
         fits = np.flatnonzero(_feasible(problem, trials, rates_t))
         stop = fits[0] + 1 if fits.size else cand.size
-        stats["bisection_evals"] += int(n_ev[:stop].sum())
+        stats["dual_evals"] += int(n_ev[:stop].sum())
         if not fits.size:
             return admitted, D, stats
         admitted, D = trials[fits[0]], D_t[fits[0]].copy()

@@ -13,7 +13,6 @@ from hapbeam.forecast import (
     forecast_linear_trend,
     forecast_persistence,
 )
-from hapbeam.harness import generate_attitude_series
 from hapbeam.io import FORECAST_HEADER, load_forecast_csv, save_forecast_csv
 
 
@@ -233,8 +232,7 @@ class TestDirect:
 
     @pytest.mark.parametrize("attitude", [(0.0, 0.0, 0.0), (2.0, 0.03, -0.02)])
     def test_constant_series_forecasts_the_constant(self, attitude):
-        s = generate_attitude_series(3, 600, amplitude_scale=0, noise_scale=0)
-        s = AttitudeSeries.build(0.1, s.samples + attitude)
+        s = AttitudeSeries.build(0.1, np.tile(attitude, (600, 1)))
         f = fit_direct(s, self.TRAIN_END, 24, 12)
         for t in (450, 587):
             got = f(s, req(t, l_win=96)).angles

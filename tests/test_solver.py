@@ -517,7 +517,7 @@ class TestRepairAndSolve:
         assert stats["addbacks"] == 2 and stats["drops"] == 0
         # evaluations count the trials up to each accepted one, as a
         # trial-by-trial scan solves them: 1 + 2 + 1 + 1
-        assert stats["bisection_evals"] == 5
+        assert stats["dual_evals"] == 5
         # the scan restarts at the first-ranked user after each acceptance
         assert passes == [[(3,)], [(0, 3), (1, 3), (2, 3)], [(0, 1, 3), (1, 2, 3)],
                           [(0, 1, 2, 3)]]
@@ -718,6 +718,6 @@ class TestRefinement:
             # each dual solve spends one evaluation at nu = 0 and one per
             # Newton step; repair runs at most K drop solves plus K passes of
             # K add-back trials
-            per_solve = solver.MAX_BISECT + 1
+            per_solve = solver.MAX_NEWTON + 1
             K = prob.num_users
-            assert sol.stats["bisection_evals"] <= per_solve * (K + 1) * (K + 2)
+            assert sol.stats["dual_evals"] <= per_solve * (K + 1) * (K + 2)

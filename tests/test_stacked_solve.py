@@ -36,11 +36,11 @@ def reference_strict_repair(problem, admitted0, scalars):
     order, stopping at the first feasible trial; the drops are unchanged."""
     K = problem.num_users
     admitted = np.asarray(admitted0, dtype=bool) & problem.certified
-    stats = {"drops": 0, "addbacks": 0, "bisection_evals": 0}
+    stats = {"drops": 0, "addbacks": 0, "dual_evals": 0}
 
     def solve_for(mask):
         D, rates, n_ev = solver._solve_projected(problem, mask, scalars)
-        stats["bisection_evals"] += n_ev
+        stats["dual_evals"] += n_ev
         return D, rates
 
     D = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
