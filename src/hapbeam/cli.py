@@ -80,6 +80,8 @@ def _issue_all(args):
 def cmd_gen_telemetry(args) -> int:
     _check_flags(f"--dt {args.dt}", lambda: HorizonSpec(dt_s=args.dt))
     _check_flags(f"--seed {args.seed}", lambda: SeedSpec(attitude=args.seed))
+    if args.length < 2:  # calibrate and forecast-eval need two telemetry rows
+        raise ConfigError(f"--length must be >= 2, got {args.length}")
     series = generate_attitude_series(args.seed, args.length, args.dt)
     save_telemetry_csv(args.out, series)
     print(f"wrote {args.length} samples at dt={args.dt}s to {args.out}")

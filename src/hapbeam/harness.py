@@ -51,7 +51,7 @@ from .geometry import (
     rotation_log_vee,
 )
 from .io import load_forecast_csv
-from .solver import ADMISSION_PRIORITIES, OBJECTIVES, SnapshotProblem, solve_snapshot
+from .solver import ADMISSION_PRIORITIES, SnapshotProblem, solve_snapshot
 
 CHANNEL_PRESETS = {
     "rician-strong": 10.0,
@@ -246,8 +246,6 @@ class ForecastSpec:
 class AdmissionSpec:
     k_min: int = 8
     priority: str = "qos-difficulty"
-    objective: str = "sum-rate"
-    n_ref: int = 10
 
     def __post_init__(self):
         _check_types(self, "admission")
@@ -256,12 +254,8 @@ class AdmissionSpec:
                 f"admission.priority must be one of {ADMISSION_PRIORITIES}, "
                 f"got {self.priority!r}"
             )
-        if self.objective not in OBJECTIVES:
-            raise ConfigError(f"admission.objective must be one of {OBJECTIVES}")
-        if self.k_min < 1 or self.n_ref < 0:
-            raise ConfigError(
-                f"admission needs k_min >= 1 and n_ref >= 0, got {self.k_min}, {self.n_ref}"
-            )
+        if self.k_min < 1:
+            raise ConfigError(f"admission.k_min must be >= 1, got {self.k_min}")
 
 
 @dataclass(frozen=True)
@@ -590,8 +584,6 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
                     k_min=config.admission.k_min,
                     priority=config.admission.priority,
                     seed=config.seeds.admission + i,
-                    objective=config.admission.objective,
-                    n_ref=config.admission.n_ref,
                 )
                 solve_time = time.perf_counter() - t0
             except HapbeamError as exc:

@@ -20,7 +20,7 @@ error is certified.  The solve pipeline:
    stacked solve and keeps the first feasible trial in scan order;
 4. optional refinement sweeps re-derive the scalars from the current
    beamformer and accept an iterate only when it stays feasible and does
-   not lower the objective.
+   not lower the admitted sum-rate.
 
 The output is feasible by construction: transmit power within budget and
 every admitted rate at or above its floor, with no exceptions.
@@ -211,7 +211,7 @@ def project_power(problem: SnapshotProblem, D: np.ndarray) -> np.ndarray:
     return out
 
 
-ADMISSION_PRIORITIES = ("qos-difficulty", "channel-gain", "random")
+ADMISSION_PRIORITIES = ("qos-difficulty", "random")
 
 
 def predict_admission_and_scalars(
@@ -233,9 +233,6 @@ def predict_admission_and_scalars(
     cert_idx = np.flatnonzero(problem.certified)
     if priority == "qos-difficulty":
         order = cert_idx[np.lexsort((cert_idx, pi[cert_idx]))]
-    elif priority == "channel-gain":
-        gains = np.sum(np.abs(problem.h_eff) ** 2, axis=1)
-        order = cert_idx[np.lexsort((cert_idx, -gains[cert_idx]))]
     elif priority == "random":
         order = np.random.default_rng(seed).permutation(cert_idx)
     else:
@@ -371,12 +368,12 @@ def _rates(problem: SnapshotProblem, D: np.ndarray):
     return sinr_and_rates(problem.h_eff, D, problem.noise_power, problem.bandwidth)
 
 
-def _newton_dual(lam, c, p_max: float, ridge: float) -> tuple[float, int]:
+def _newton_dual(lam, c, p_max: float) -> tuple[float, int]:
     """Newton's method on one set's secular terms: (nu, power evaluations)."""
     target = 0.5 * (1.0 + POWER_BAND) * p_max
     nu = 0.0
     for n_ev in range(1, MAX_NEWTON + 2):
-        s = 1.0 / (lam + (nu + ridge))
+        s = 1.0 / (lam + nu)
         cs2 = c * s * s
         p = float(cs2.sum())
         if p <= p_max:
@@ -390,7 +387,6 @@ def power_dual_bisection(
     problem: SnapshotProblem,
     admitted: np.ndarray,
     scalars: SolverScalars,
-    ridge: float = 0.0,
 ) -> tuple[float, np.ndarray, int]:
     """Smallest-necessary power dual, found by Newton's method; the name
     stays because bench/spans.py traces it and tests/test_bench_targets.py
@@ -400,8 +396,8 @@ def power_dual_bisection(
     [POWER_BAND, 1] * P_max.  That function is concave and increasing
     (More & Sorensen, SIAM J. Sci. Stat. Comput. 1983), so the iterates rise
     monotonically towards the target and the first with power <= P_max has
-    power in [0.995, 1] * P_max.  `ridge` is a fixed extra shift: each nu is
-    evaluated at nu + ridge.
+    power in [0.995, 1] * P_max.  Refinement, which raises the admitted
+    sum-rate, searches it afresh for each sweep's scalars.
 
     One eigendecomposition serves every nu: each trial nu reads its power
     and slope from the secular terms of `_secular_terms`, and the
@@ -414,21 +410,21 @@ def power_dual_bisection(
     eig = kkt_decompose(problem, admitted, scalars)
     if eig[0].ndim == 1:
         lam, c = _secular_terms(eig)
-        nu, n_ev = _newton_dual(lam, c, problem.p_max, ridge)
+        nu, n_ev = _newton_dual(lam, c, problem.p_max)
     else:
         terms = _secular_terms(eig)
         nu, n_ev = map(np.array, zip(*(
-            _newton_dual(lam, c, problem.p_max, ridge) for lam, c in terms
+            _newton_dual(lam, c, problem.p_max) for lam, c in terms
         )))
-    D = kkt_reconstruct(problem, admitted, scalars, nu + ridge, eig)
+    D = kkt_reconstruct(problem, admitted, scalars, nu, eig)
     return nu, D, n_ev
 
 
-def _solve_projected(problem, admitted, scalars, ridge: float = 0.0):
+def _solve_projected(problem, admitted, scalars):
     """Power-dual reconstruction, exact power projection and the resulting
     rates: (D, rates, dual evaluations), each with a leading axis for a
     (T, K) stack of masks."""
-    _, D, n_ev = power_dual_bisection(problem, admitted, scalars, ridge)
+    _, D, n_ev = power_dual_bisection(problem, admitted, scalars)
     D = project_power(problem, D)
     _, rates = _rates(problem, D)
     return D, rates, n_ev
@@ -495,54 +491,31 @@ def strict_repair(
         stats["addbacks"] += 1
 
 
-OBJECTIVES = ("sum-rate", "ee")
-
-
-def _objective(problem, admitted, rates, power, objective: str) -> float:
-    """Admitted sum-rate, or energy efficiency sum / (power + circuit)."""
-    total = float(np.sum(rates[admitted]))
-    if objective == "sum-rate":
-        return total
-    if objective == "ee":
-        denom = power + problem.circuit_power
-        return total / denom if denom > 0 else 0.0
-    raise ConfigError(f"unknown objective {objective!r}")
-
-
 def refine_qos_safe(
     problem: SnapshotProblem,
     admitted: np.ndarray,
     D: np.ndarray,
     scalars: SolverScalars,
     n_ref: int = 10,
-    objective: str = "sum-rate",
 ) -> tuple[np.ndarray, dict]:
     """Monotone-accept WMMSE sweeps over the fixed admitted set.
 
     Each sweep re-derives (u, w) from the current beamformer, puts them in
     place of those in the predictor's `scalars`, reconstructs through the
     power dual, projects, and accepts only when all admitted rate floors
-    still hold and the objective did not decrease; the first rejected
-    iterate ends the loop (the sweep map is deterministic).  For the
-    energy-efficiency objective the current objective, the Dinkelbach ratio
-    eta, enters as the reconstruction ridge, i.e. the eta G term of the
-    stationarity of R - eta ||A D||^2.
+    still hold and the admitted sum-rate did not decrease; the first
+    rejected iterate ends the loop (the sweep map is deterministic).
     """
     stats = {"refine_accepted": 0, "refine_tried": 0}
     if not admitted.any() or n_ref < 1:
         return D, stats
     _, rates = _rates(problem, D)
-    best = _objective(problem, admitted, rates, transmit_power(problem, D), objective)
+    best = float(np.sum(rates[admitted]))
     for _ in range(n_ref):
         stats["refine_tried"] += 1
         u, w = _mmse_scalars(problem, D)
-        ridge = best if objective == "ee" else 0.0
-        D_new, rates_new, _ = _solve_projected(
-            problem, admitted, replace(scalars, u=u, w=w), ridge
-        )
-        val = _objective(
-            problem, admitted, rates_new, transmit_power(problem, D_new), objective
-        )
+        D_new, rates_new, _ = _solve_projected(problem, admitted, replace(scalars, u=u, w=w))
+        val = float(np.sum(rates_new[admitted]))
         if _feasible(problem, admitted, rates_new) and val >= best:
             D, best = D_new, val
             stats["refine_accepted"] += 1
@@ -556,14 +529,13 @@ def solve_snapshot(
     k_min: int = 8,
     priority: str = "qos-difficulty",
     seed: int | None = None,
-    objective: str = "sum-rate",
     n_ref: int = 10,
 ) -> BeamSolution:
     """Full per-slot solve: predict, threshold, repair, refine, verify."""
     scalars = predict_admission_and_scalars(problem, k_min, priority, seed)
     admitted0 = problem.certified & (scalars.scores >= 0.5)
     admitted, D, stats = strict_repair(problem, admitted0, scalars)
-    D, ref_stats = refine_qos_safe(problem, admitted, D, scalars, n_ref, objective)
+    D, ref_stats = refine_qos_safe(problem, admitted, D, scalars, n_ref)
     stats.update(ref_stats)
     sinr, rates = _rates(problem, D)
     power = transmit_power(problem, D)
@@ -574,6 +546,8 @@ def solve_snapshot(
         )
     if np.any(D[:, ~admitted]):
         raise InvariantError("non-admitted user received transmit power")
+    sum_rate = float(np.sum(rates[admitted]))
+    denom = power + problem.circuit_power
     return BeamSolution(
         d_matrix=D,
         admitted=admitted,
@@ -582,7 +556,7 @@ def solve_snapshot(
         power=power,
         feasible=True,
         qar=float(admitted.sum() / problem.num_users),
-        sum_rate=_objective(problem, admitted, rates, power, "sum-rate"),
-        energy_efficiency=_objective(problem, admitted, rates, power, "ee"),
+        sum_rate=sum_rate,
+        energy_efficiency=sum_rate / denom if denom > 0 else 0.0,
         stats=stats,
     )

@@ -115,7 +115,7 @@ class TestScenarioConfig:
             {"qos": {"p_max_w": 0.0}},
             {"qos": {"r_min": -0.5}},
             {"admission": {"k_min": 0}},
-            {"admission": {"n_ref": -1}},
+            {"admission": {"n_ref": 10}},  # the sweep cap is the solver's default
             {"array": {"m_x": 0}},
             {"array": {"spacing_y_wl": float("nan")}},
             {"snapshots": "abc"},
@@ -128,6 +128,8 @@ class TestScenarioConfig:
             {"horizon": {"dt_s": float("nan")}},
             {"users": {"disc_radius_m": float("nan")}},
             {"calibration": {"box_halfwidth_deg": 3.0}},  # the delta_omega cap replaced it
+            {"admission": {"objective": "ee"}},  # refinement raises the sum-rate only
+            {"admission": {"priority": "channel-gain"}},  # it ranked as qos-difficulty
         ],
     )
     def test_invalid_values(self, raw):
@@ -152,17 +154,17 @@ class TestScenarioConfig:
             lambda: PlatformSpec(altitude_m=-1.0),
             lambda: QosSpec(p_max_w=0.0),
             lambda: AdmissionSpec(k_min=0),
-            lambda: AdmissionSpec(n_ref=-1),
             lambda: ArraySpec(m_y=0),
             lambda: UserSpec(count="5"),
             lambda: QosSpec(p_max_w=10**400),
             lambda: PlatformSpec(mounting_deg=(0.0, 10**400, 0.0)),
+            lambda: AdmissionSpec(priority="channel-gain"),
         ],
         ids=[
             "layout", "preset", "compensation", "priority", "kind", "delay",
             "rho", "snapshots", "order", "l_win", "mounting", "noise_power",
-            "altitude", "p_max", "k_min", "n_ref", "array", "count_type",
-            "p_max_huge_int", "mounting_huge_int",
+            "altitude", "p_max", "k_min", "array", "count_type",
+            "p_max_huge_int", "mounting_huge_int", "channel_gain",
         ],
     )
     def test_invalid_values_built_directly(self, build):
@@ -486,7 +488,6 @@ class TestRunExperiment:
         for bandwidth in (2.0, 4.0):
             raw = {**FAST, "channel": {"bandwidth_hz": bandwidth}}
             res = run_experiment(ScenarioConfig.from_dict(raw))
-            assert res.config.admission.objective == "sum-rate"
             np.testing.assert_array_equal(res.snapshots["QAR"], base["QAR"])
             np.testing.assert_array_equal(res.snapshots["sum_rate"],
                                           bandwidth * base["sum_rate"])
@@ -499,7 +500,7 @@ class TestRunExperiment:
             h_eff=np.eye(K, dtype=complex), r_min=1.0, p_max=3.0, noise_power=0.2
         )
         qars = set()
-        for priority in ("qos-difficulty", "channel-gain", "random"):
+        for priority in ("qos-difficulty", "random"):
             sol = solve_snapshot(
                 SnapshotProblem.build(**prob_args), k_min=8, priority=priority, seed=1
             )
@@ -575,8 +576,6 @@ def reference_columns(config: ScenarioConfig):
             k_min=config.admission.k_min,
             priority=config.admission.priority,
             seed=config.seeds.admission + i,
-            objective=config.admission.objective,
-            n_ref=config.admission.n_ref,
         )
         for name, value in (("QAR", sol.qar), ("sum_rate", sol.sum_rate),
                             ("ee", sol.energy_efficiency), ("power", sol.power),
@@ -1107,6 +1106,17 @@ class TestCli:
         assert self.run_cli("gen-telemetry", "--dt", "0", "--out", str(tmp_path / "t")) == 2
         err = capsys.readouterr().err
         assert "dt_s" in err and "l_win" not in err, err
+
+    @pytest.mark.parametrize("length", ["1", "0", "-5"])
+    def test_short_length_exit_2(self, tmp_path, capsys, length):
+        # calibrate and forecast-eval reject a file of fewer than two rows,
+        # so gen-telemetry refuses to write one
+        tel = tmp_path / "tel.csv"
+        assert self.run_cli("gen-telemetry", "--length", length, "--out", str(tel)) == 2
+        assert capsys.readouterr().err.startswith(f"error: --length must be >= 2, got {length}")
+        assert not tel.exists()
+        assert self.run_cli("gen-telemetry", "--length", "2", "--out", str(tel)) == 0
+        assert len(load_telemetry_csv(tel).samples) == 2
 
     @pytest.mark.parametrize("command, flag, value", [
         ("run", "--format", "json"),

@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -159,12 +160,12 @@ class TestPredictor:
         assert np.all(sc.scores[~prob.certified] == 0.0)
 
     def test_channel_gain_priority(self):
-        rng = np.random.default_rng(2)
+        # the gain order is the qos-difficulty order under one scalar floor,
+        # the only kind the pipeline builds, so it is no longer a priority
         H = np.diag([3.0, 1.0, 2.0]).astype(complex)
         prob = SnapshotProblem.build(H, r_min=1.0, p_max=1.0, noise_power=1.0)
-        sc = predict_admission_and_scalars(prob, k_min=1, priority="channel-gain")
-        assert sc.scores[0] == 1.0  # strongest channel ranked first
-        assert sc.scores[1] < sc.scores[2] < 1.0
+        with pytest.raises(ConfigError, match="channel-gain"):
+            predict_admission_and_scalars(prob, k_min=1, priority="channel-gain")
 
     def test_random_priority_seeded(self):
         prob = random_problem(4, certify_frac=1.0)
@@ -282,10 +283,9 @@ class TestKKTEigen:
         sc = SolverScalars(np.ones(K), np.zeros(K, complex), np.ones(K),
                            required_power_proxy(prob))
         for nu in KKT_SHIFTS:
-            for ridge in (0.0, 0.5):
-                D = kkt_reconstruct(prob, mask, sc, nu + ridge)
-                assert D.shape == (prob.h_eff.shape[1], K)
-                assert not D.any()
+            D = kkt_reconstruct(prob, mask, sc, nu)
+            assert D.shape == (prob.h_eff.shape[1], K)
+            assert not D.any()
 
     @pytest.mark.parametrize("case", ["rank-deficient", "analog-gram"])
     def test_precomputed_decomposition_same_bytes(self, case):
@@ -293,10 +293,9 @@ class TestKKTEigen:
         sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
         eig = kkt_decompose(prob, mask, sc)
         for nu in KKT_SHIFTS:
-            for ridge in (0.0, 0.5):
-                D_own = kkt_reconstruct(prob, mask, sc, nu + ridge)
-                D_eig = kkt_reconstruct(prob, mask, sc, nu + ridge, eig)
-                assert D_own.tobytes() == D_eig.tobytes()
+            D_own = kkt_reconstruct(prob, mask, sc, nu)
+            D_eig = kkt_reconstruct(prob, mask, sc, nu, eig)
+            assert D_own.tobytes() == D_eig.tobytes()
 
 
 class TestBisection:
@@ -391,13 +390,12 @@ class TestDualPower:
         # the same sums of N_RF-term products in another order, weighted by G
         tol = 100 * N * np.finfo(float).eps * np.linalg.cond(prob.analog_gram)
         for nu in KKT_SHIFTS:
-            for ridge in (0.0, 0.5):
-                ref = transmit_power(prob, kkt_reconstruct(prob, mask, sc, nu + ridge))
-                err = abs(np.sum(c / (lam + (nu + ridge)) ** 2) - ref) / ref
-                assert err <= tol, (case, nu, ridge, err, tol)
+            ref = transmit_power(prob, kkt_reconstruct(prob, mask, sc, nu))
+            err = abs(np.sum(c / (lam + nu) ** 2) - ref) / ref
+            assert err <= tol, (case, nu, err, tol)
 
-    @pytest.mark.parametrize("ridge", [0.0, 0.5])
-    def test_one_beamformer_per_search(self, monkeypatch, ridge):
+    @pytest.mark.parametrize("backoff_db", [0.0, 0.5])
+    def test_one_beamformer_per_search(self, monkeypatch, backoff_db):
         calls = []
 
         def counting(*args, **kwargs):
@@ -407,26 +405,27 @@ class TestDualPower:
         monkeypatch.setattr(solver, "kkt_reconstruct", counting)
         searched = 0
         for seed in range(30):
-            prob = random_problem(seed, p_max=0.05)
+            prob = random_problem(seed, p_max=0.05 * 10 ** (-backoff_db / 10))
             sc = predict_admission_and_scalars(prob)
             mask = prob.certified.copy()
             calls.clear()
-            nu, D, n_ev = power_dual_bisection(prob, mask, sc, ridge)
-            assert calls == [nu + ridge]
-            ref = kkt_reconstruct(prob, mask, sc, nu + ridge)
+            nu, D, n_ev = power_dual_bisection(prob, mask, sc)
+            assert calls == [nu]
+            ref = kkt_reconstruct(prob, mask, sc, nu)
             assert D.tobytes() == ref.tobytes()
             searched += n_ev > 2
         assert searched > 10  # the budget is tight enough to force Newton steps
 
-    @pytest.mark.parametrize("ridge", [0.0, 0.5])
-    def test_zero_scalars_stop_at_zero_dual(self, ridge):
+    @pytest.mark.parametrize("backoff_db", [0.0, 0.5])
+    def test_zero_scalars_stop_at_zero_dual(self, backoff_db):
         prob, mask = _kkt_case("analog-gram")
+        prob = replace(prob, p_max=prob.p_max * 10 ** (-backoff_db / 10))
         K = prob.num_users
         sc = SolverScalars(np.ones(K), np.zeros(K, complex), np.ones(K),
                            required_power_proxy(prob))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nu, D, n_ev = power_dual_bisection(prob, mask, sc, ridge)
+            nu, D, n_ev = power_dual_bisection(prob, mask, sc)
         assert (nu, n_ev) == (0.0, 1)
         assert D.shape == (prob.h_eff.shape[1], prob.num_users) and not D.any()
 
@@ -499,7 +498,7 @@ class TestRepairAndSolve:
                                      p_max=1.0, noise_power=1.0)
         passes = []
 
-        def scripted(problem, mask, scalars, ridge=0.0):
+        def scripted(problem, mask, scalars):
             masks = np.atleast_2d(mask)
             users = [tuple(np.flatnonzero(m)) for m in masks]
             passes.append(users)
@@ -583,10 +582,9 @@ class TestEdgeCases:
         assert np.linalg.cond(prob.analog_gram) > 1e15
         with pytest.raises(np.linalg.LinAlgError):  # so the ridge retry ran
             np.linalg.cholesky(prob.analog_gram)
-        for objective in ("sum-rate", "ee"):
-            sol = solve_snapshot(prob, objective=objective)
-            self.assert_solution_ok(prob, sol)
-            assert sol.admitted.any()
+        sol = solve_snapshot(prob)
+        self.assert_solution_ok(prob, sol)
+        assert sol.admitted.any()
 
     @pytest.mark.parametrize("p_max", [1e-9, 1e9])
     def test_extreme_budgets(self, p_max):
@@ -660,22 +658,10 @@ class TestRefinement:
             sol = solve_snapshot(prob, n_ref=10)
             assert sol.feasible
 
-    def test_ee_objective_feasible_and_bounded(self):
-        for seed in range(30):
-            prob = random_problem(seed, p_max=3.0)
-            se = solve_snapshot(prob, objective="ee")
-            sr = solve_snapshot(prob, objective="sum-rate")
-            assert se.feasible
-            assert np.array_equal(se.admitted, sr.admitted)
-            # EE refinement must not fall below the EE of the unrefined point
-            s0 = solve_snapshot(prob, n_ref=0)
-            assert se.energy_efficiency >= s0.energy_efficiency - 1e-12
-
-    @pytest.mark.parametrize("objective", ["sum-rate", "ee"])
-    def test_refinement_ridge_is_the_current_objective(self, monkeypatch, objective):
+    def test_refinement_searches_once_per_sweep(self, monkeypatch):
         # every sweep re-derives its scalars from the iterate it starts from,
-        # then searches the power dual once with the Dinkelbach ridge
-        starts, ridges, state = [], [], {}
+        # then searches the power dual once with those scalars
+        starts, searched, state = [], [], {}
         refine, mmse, dual = (solver.refine_qos_safe, solver._mmse_scalars,
                               solver.power_dual_bisection)
 
@@ -691,24 +677,22 @@ class TestRefinement:
                 starts.append((problem, state["admitted"], D))
             return mmse(problem, D)
 
-        def search(problem, admitted, scalars, ridge=0.0):
+        def search(problem, admitted, scalars):
             if state:
-                ridges.append(ridge)
-            return dual(problem, admitted, scalars, ridge)
+                searched.append((admitted, scalars))
+            return dual(problem, admitted, scalars)
 
         monkeypatch.setattr(solver, "refine_qos_safe", refining)
         monkeypatch.setattr(solver, "_mmse_scalars", start)
         monkeypatch.setattr(solver, "power_dual_bisection", search)
         for seed in range(30):
-            solve_snapshot(random_problem(seed, p_max=3.0), objective=objective)
-        assert len(ridges) == len(starts) > 30
-        for (prob, admitted, D), ridge in zip(starts, ridges):
-            if objective == "sum-rate":
-                assert ridge == 0.0
-            else:
-                _, rates = sinr_and_rates(prob.h_eff, D, prob.noise_power, prob.bandwidth)
-                ee = np.sum(rates[admitted]) / (transmit_power(prob, D) + prob.circuit_power)
-                assert ridge == ee > 0
+            solve_snapshot(random_problem(seed, p_max=3.0))
+        assert len(searched) == len(starts) > 30
+        for (prob, admitted, D), (mask, scalars) in zip(starts, searched):
+            assert mask is admitted
+            u, w = mmse(prob, D)
+            assert scalars.u.tobytes() == u.tobytes()
+            assert scalars.w.tobytes() == w.tobytes()
 
     def test_stats_complexity_caps(self):
         for seed in range(50):

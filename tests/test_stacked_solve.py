@@ -93,15 +93,17 @@ def _crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def _stack_case(T, n_rf, seed):
+def _stack_case(T, n_rf, seed, backoff_db=0.0):
     """A problem with K = n_rf + 2 users on n_rf chains and a random analog
     Gram, its predictor scalars, and T masks that each add one user to a
-    shared set, as one add-back pass does."""
+    shared set, as one add-back pass does.  The random budget is backed off
+    by `backoff_db`."""
     rng = np.random.default_rng(seed)
     K = n_rf + 2
     A = _crandn(rng, 3 * n_rf, n_rf) / np.sqrt(3 * n_rf)
     prob = SnapshotProblem.build(_crandn(rng, K, n_rf), r_min=rng.uniform(0.1, 1.5, K),
-                                 p_max=float(rng.uniform(0.2, 5.0)), noise_power=0.1,
+                                 p_max=float(rng.uniform(0.2, 5.0)) * 10 ** (-backoff_db / 10),
+                                 noise_power=0.1,
                                  analog_gram=A.conj().T @ A)
     sc = predict_admission_and_scalars(prob, k_min=K)
     base = np.zeros(K, bool)
@@ -144,17 +146,17 @@ class TestStackedCalls:
             assert D[t].tobytes() == kkt_reconstruct(prob, mask, sc, nus[t]).tobytes()
 
     @pytest.mark.parametrize("T, n_rf", STACKS)
-    @pytest.mark.parametrize("ridge", [0.0, 0.5])
-    def test_dual_projection_and_rates(self, T, n_rf, ridge):
-        prob, sc, masks = _stack_case(T, n_rf, seed=100 * T + n_rf)
-        nu, D, n_ev = power_dual_bisection(prob, masks, sc, ridge)
+    @pytest.mark.parametrize("backoff_db", [0.0, 0.5])
+    def test_dual_projection_and_rates(self, T, n_rf, backoff_db):
+        prob, sc, masks = _stack_case(T, n_rf, seed=100 * T + n_rf, backoff_db=backoff_db)
+        nu, D, n_ev = power_dual_bisection(prob, masks, sc)
         power = transmit_power(prob, D)
         # grow half of the slices past the budget, so the projection scales them
         grown = D * np.where(np.arange(T) % 2, 3.0, 1.0)[:, None, None]
         Dp = project_power(prob, grown)
         sinr, rates = sinr_and_rates(prob.h_eff, Dp, prob.noise_power, prob.bandwidth)
         for t, mask in enumerate(masks):
-            nu_t, D_t, n_ev_t = power_dual_bisection(prob, mask, sc, ridge)
+            nu_t, D_t, n_ev_t = power_dual_bisection(prob, mask, sc)
             assert (nu[t], n_ev[t]) == (nu_t, n_ev_t)
             assert D[t].tobytes() == D_t.tobytes()
             assert power[t].tobytes() == np.float64(transmit_power(prob, D_t)).tobytes()
@@ -239,10 +241,10 @@ class TestScanEdgeCases:
         sizes = []
         solve = solver._solve_projected
 
-        def recording(problem, admitted, scalars, ridge=0.0):
+        def recording(problem, admitted, scalars):
             if admitted.ndim == 2:
                 sizes.append(admitted.shape[0])
-            return solve(problem, admitted, scalars, ridge)
+            return solve(problem, admitted, scalars)
 
         monkeypatch.setattr(solver, "_solve_projected", recording)
         return sizes
@@ -253,6 +255,23 @@ class TestScanEdgeCases:
         test_solver.TestEdgeCases.assert_solution_ok(prob, sol)
         return sol, sizes
 
+    def check_repair(self, prob, admitted0, monkeypatch):
+        """strict_repair from a given admitted set against the reference
+        scan, and the repaired beamformer's feasibility; returns the
+        admitted set, the beamformer, the counters and the pass sizes."""
+        sc = predict_admission_and_scalars(prob, k_min=1)
+        ref = reference_strict_repair(prob, admitted0, sc)
+        sizes = self.passes(monkeypatch)
+        admitted, D, stats = solver.strict_repair(prob, admitted0, sc)
+        assert admitted.tobytes() == ref[0].tobytes()
+        assert D.tobytes() == ref[1].tobytes()
+        assert stats == ref[2]
+        _, rates = sinr_and_rates(prob.h_eff, D, prob.noise_power, prob.bandwidth)
+        assert transmit_power(prob, D) <= prob.p_max
+        assert np.all(rates[admitted] >= prob.r_min[admitted])
+        assert not D[:, ~admitted].any()
+        return admitted, D, stats, sizes
+
     def test_single_candidate_pass(self, monkeypatch):
         rng = np.random.default_rng(7)
         H = np.eye(3, dtype=complex) + 0.1 * _crandn(rng, 3, 3)
@@ -261,16 +280,17 @@ class TestScanEdgeCases:
         assert sizes == [1] and sol.admitted.all()
 
     def test_empty_admitted_set_after_drops(self, monkeypatch):
-        # the strongest user is admitted first and cannot reach its floor alone
+        # the strongest user is admitted alone and cannot reach its floor
         rng = np.random.default_rng(8)
         H = _crandn(rng, 4, 4)
         H[0] *= 3
         prob = SnapshotProblem.build(H, r_min=[40.0, 0.5, 0.8, 1.0], p_max=2.0,
                                      noise_power=0.1)
-        sol, sizes = self.check(prob, dict(k_min=1, priority="channel-gain"), monkeypatch)
-        assert sol.stats["drops"] == 1
+        admitted, _, stats, sizes = self.check_repair(prob, np.eye(4, dtype=bool)[0],
+                                                      monkeypatch)
+        assert stats["drops"] == 1
         assert sizes[0] == 4  # every certified user alone
-        assert sol.admitted.tolist() == [False, True, True, True]
+        assert admitted.tolist() == [False, True, True, True]
 
     @pytest.mark.parametrize("r_min", [0.0, 0.5])
     def test_zero_channel_candidate(self, monkeypatch, r_min):
@@ -283,7 +303,8 @@ class TestScanEdgeCases:
         H[3] = 0.0
         prob = SnapshotProblem.build(H, r_min=[40.0, 0.5, 0.8, r_min, 1.0], p_max=2.0,
                                      noise_power=0.1)
-        sol, sizes = self.check(prob, dict(k_min=1, priority="channel-gain"), monkeypatch)
+        admitted, D, _, sizes = self.check_repair(prob, np.eye(5, dtype=bool)[0],
+                                                  monkeypatch)
         assert sizes[0] == 5
-        assert sol.admitted[3] == (r_min == 0.0)
-        assert not sol.d_matrix[:, 3].any()
+        assert admitted[3] == (r_min == 0.0)
+        assert not D[:, 3].any()
