@@ -5,8 +5,9 @@ power budget, per-user rate floors, and the set of users whose pointing
 error is certified.  The solve pipeline:
 
 1. a lightweight admission predictor ranks certified users by QoS
-   difficulty and emits WMMSE-style scalars (u_k, w_k) from one MMSE pass
-   at a matched-filter equal-power initialization;
+   difficulty, marks the first k_min of them as the start set, and emits
+   WMMSE-style scalars (u_k, w_k) from one MMSE pass at a matched-filter
+   equal-power initialization;
 2. the digital beamformer is rebuilt in closed form from those scalars and
    one eigendecomposition per admitted set, taken in the basis where the
    analog Gram is the identity; there the transmit power along the dual is
@@ -18,9 +19,9 @@ error is certified.  The solve pipeline:
    fits without breaking feasibility: each add-back scan pass solves all of
    its trials, which share one admitted set plus one user each, as one
    stacked solve and keeps the first feasible trial in scan order;
-4. optional refinement sweeps re-derive the scalars from the current
-   beamformer and accept an iterate only when it stays feasible and does
-   not lower the admitted sum-rate.
+4. at most MAX_SWEEPS refinement sweeps re-derive the scalars from the
+   current beamformer and accept an iterate only when it stays feasible and
+   does not lower the admitted sum-rate.
 
 The output is feasible by construction: transmit power within budget and
 every admitted rate at or above its floor, with no exceptions.
@@ -41,6 +42,7 @@ SHRINK = 1.0 - 4 * np.finfo(float).eps  # project_power's step when rounding end
 REG_REL = 1e-9  # relative ridge for the KKT solve and for a singular analog Gram
 W_CLAMP = (1.0, 1e6)  # MMSE weight clamp
 MAX_NEWTON = 40  # Newton steps per dual search
+MAX_SWEEPS = 10  # refinement sweeps per solve
 POWER_BAND = 0.99  # the dual search aims at the middle of [band, 1] * P_max
 
 
@@ -144,9 +146,9 @@ class SnapshotProblem:
 
 @dataclass(frozen=True)
 class SolverScalars:
-    """Admission scores and reconstruction scalars from the predictor."""
+    """Admission start set and reconstruction scalars from the predictor."""
 
-    scores: np.ndarray  # (K,) soft admission in [0, 1]
+    start: np.ndarray  # (K,) bool, the users repair starts from
     u: np.ndarray  # (K,) complex MMSE receive scalars
     w: np.ndarray  # (K,) MMSE weights, clamped
     pi: np.ndarray  # (K,) required-power proxy
@@ -218,15 +220,16 @@ def predict_admission_and_scalars(
     problem: SnapshotProblem,
     k_min: int = 8,
     priority: str = "qos-difficulty",
-    seed: int | None = None,
+    seed: int = 0,
 ) -> SolverScalars:
-    """Admission scores plus one-pass MMSE scalars.
+    """Admission start set plus one-pass MMSE scalars.
 
-    The first min(k_min, #certified) users in priority order get score 1;
-    the rest taper strictly below the admission threshold, non-increasing
-    along the ranking.  Scalars come from a matched-filter equal-power
-    initialization over the certified set: u_k = G_kk / (sum_j |G_kj|^2 +
-    noise), w_k = 1 / (1 - Re(u_k^* G_kk)) clamped to [1, 1e6].
+    The start set is the first min(k_min, #certified) certified users in
+    priority order: ascending pi_k with ties to the lower index, or a
+    permutation drawn from `seed`.  Scalars come from a matched-filter
+    equal-power initialization over the certified set: u_k = G_kk /
+    (sum_j |G_kj|^2 + noise), w_k = 1 / (1 - Re(u_k^* G_kk)) clamped to
+    [1, 1e6].
     """
     K = problem.num_users
     pi = required_power_proxy(problem)
@@ -239,9 +242,8 @@ def predict_admission_and_scalars(
         raise ConfigError(f"unknown admission priority {priority!r}")
     if k_min < 1:
         raise ConfigError(f"k_min must be >= 1, got {k_min}")
-    scores = np.zeros(K)
-    for rank, k in enumerate(order):
-        scores[k] = 1.0 if rank < k_min else 0.5 * k_min / (rank + 1.0)
+    start = np.zeros(K, dtype=bool)
+    start[order[:k_min]] = True
 
     # matched-filter equal-power start over the certified set
     D0 = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
@@ -252,7 +254,7 @@ def predict_admission_and_scalars(
         D0[:, cert_idx] = h[:, cert_idx] / cols * np.sqrt(problem.p_max / cert_idx.size)
         D0 = project_power(problem, D0)
     u, w = _mmse_scalars(problem, D0)
-    return SolverScalars(scores=scores, u=u, w=w, pi=pi)
+    return SolverScalars(start=start, u=u, w=w, pi=pi)
 
 
 def _mmse_scalars(problem: SnapshotProblem, D: np.ndarray):
@@ -317,24 +319,18 @@ def kkt_decompose(
     return idx, B, lam, Z
 
 
-def kkt_reconstruct(
-    problem: SnapshotProblem,
-    admitted: np.ndarray,
-    scalars: SolverScalars,
-    nu: float,
-    eig: tuple | None = None,
-) -> np.ndarray:
+def kkt_reconstruct(problem: SnapshotProblem, eig: tuple, nu: float) -> np.ndarray:
     """Closed-form beamformer from the weighted-MMSE stationarity system.
 
     d_k = C(nu)^{-1} (w_k u_k^* h_eff_k) for admitted k, with
     C(nu) = sum over admitted of w |u|^2 h h^H + nu G and G the analog Gram,
-    so nu prices the transmit power ||A D||^2 that the budget bounds.  C is
-    eigendecomposed once per admitted set by `kkt_decompose`; pass that as
-    `eig` to reuse it across shifts, otherwise it is built here.  A shift
-    then only rescales the eigenvalues: D = B Z / (lam + nu).  A (T, K)
-    stack of masks takes a (T,) array of shifts and gives (T, N_RF, K).
+    so nu prices the transmit power ||A D||^2 that the budget bounds.
+    `eig` is C's eigendecomposition from `kkt_decompose`, taken once per
+    admitted set; a shift only rescales its eigenvalues: D = B Z / (lam + nu).
+    The decomposition of a (T, K) stack of masks takes a (T,) array of
+    shifts and gives (T, N_RF, K).
     """
-    idx, B, lam, Z = kkt_decompose(problem, admitted, scalars) if eig is None else eig
+    idx, B, lam, Z = eig
     if idx.ndim == 1:
         if nu < 0:
             raise ValueError(f"dual variable must be >= 0, got {nu}")
@@ -416,7 +412,7 @@ def power_dual_bisection(
         nu, n_ev = map(np.array, zip(*(
             _newton_dual(lam, c, problem.p_max) for lam, c in terms
         )))
-    D = kkt_reconstruct(problem, admitted, scalars, nu, eig)
+    D = kkt_reconstruct(problem, eig, nu)
     return nu, D, n_ev
 
 
@@ -496,7 +492,6 @@ def refine_qos_safe(
     admitted: np.ndarray,
     D: np.ndarray,
     scalars: SolverScalars,
-    n_ref: int = 10,
 ) -> tuple[np.ndarray, dict]:
     """Monotone-accept WMMSE sweeps over the fixed admitted set.
 
@@ -504,14 +499,15 @@ def refine_qos_safe(
     place of those in the predictor's `scalars`, reconstructs through the
     power dual, projects, and accepts only when all admitted rate floors
     still hold and the admitted sum-rate did not decrease; the first
-    rejected iterate ends the loop (the sweep map is deterministic).
+    rejected iterate ends the loop (the sweep map is deterministic), and
+    MAX_SWEEPS sweeps end it in any case.
     """
     stats = {"refine_accepted": 0, "refine_tried": 0}
-    if not admitted.any() or n_ref < 1:
+    if not admitted.any():
         return D, stats
     _, rates = _rates(problem, D)
     best = float(np.sum(rates[admitted]))
-    for _ in range(n_ref):
+    for _ in range(MAX_SWEEPS):
         stats["refine_tried"] += 1
         u, w = _mmse_scalars(problem, D)
         D_new, rates_new, _ = _solve_projected(problem, admitted, replace(scalars, u=u, w=w))
@@ -528,14 +524,12 @@ def solve_snapshot(
     problem: SnapshotProblem,
     k_min: int = 8,
     priority: str = "qos-difficulty",
-    seed: int | None = None,
-    n_ref: int = 10,
+    seed: int = 0,
 ) -> BeamSolution:
-    """Full per-slot solve: predict, threshold, repair, refine, verify."""
+    """Full per-slot solve: predict, repair from the start set, refine, verify."""
     scalars = predict_admission_and_scalars(problem, k_min, priority, seed)
-    admitted0 = problem.certified & (scalars.scores >= 0.5)
-    admitted, D, stats = strict_repair(problem, admitted0, scalars)
-    D, ref_stats = refine_qos_safe(problem, admitted, D, scalars, n_ref)
+    admitted, D, stats = strict_repair(problem, scalars.start, scalars)
+    D, ref_stats = refine_qos_safe(problem, admitted, D, scalars)
     stats.update(ref_stats)
     sinr, rates = _rates(problem, D)
     power = transmit_power(problem, D)

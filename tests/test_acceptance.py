@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+import hapbeam.solver as solver
 from hapbeam.array_model import (
     AngleBox,
     ArrayConfig,
@@ -43,6 +44,7 @@ from hapbeam.harness import ScenarioConfig, place_users, run_experiment
 from hapbeam.io import write_snapshots_csv
 from hapbeam.solver import (
     SnapshotProblem,
+    kkt_decompose,
     kkt_reconstruct,
     power_dual_bisection,
     predict_admission_and_scalars,
@@ -265,7 +267,7 @@ def test_criterion_07_small_instance_oracle():
     _report(7, f"oracle QAR match {rate:.1%}, never worse by more than one user")
 
 
-def test_criterion_08_dual_and_refinement_monotonicity():
+def test_criterion_08_dual_and_refinement_monotonicity(monkeypatch):
     # power falls along the dual by construction (a secular sum in the
     # Gram-whitened basis); a direct sweep checks it, and refinement must
     # never lower the objective
@@ -280,14 +282,16 @@ def test_criterion_08_dual_and_refinement_monotonicity():
             noise_power=float(rng.uniform(0.05, 0.5)),
         )
         scalars = predict_admission_and_scalars(prob, k_min=K)
-        mask = prob.certified.copy()
+        eig = kkt_decompose(prob, prob.certified, scalars)
         powers = [
-            transmit_power(prob, kkt_reconstruct(prob, mask, scalars, nu))
+            transmit_power(prob, kkt_reconstruct(prob, eig, nu))
             for nu in np.logspace(-2, 2, 9)
         ]
         assert np.all(np.diff(powers) <= 1e-9 * max(powers)), f"case {case}"
-        s0 = solve_snapshot(prob, n_ref=0)
-        s1 = solve_snapshot(prob, n_ref=10)
+        with monkeypatch.context() as m:
+            m.setattr(solver, "MAX_SWEEPS", 0)  # the unrefined solve
+            s0 = solve_snapshot(prob)
+        s1 = solve_snapshot(prob)
         assert s1.sum_rate >= s0.sum_rate - 1e-12, f"case {case} refinement regressed"
     _report(8, "500 dual sweeps monotone, 500 refinements never regressed")
 

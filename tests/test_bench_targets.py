@@ -13,7 +13,7 @@ from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
-# stale targets the tracer still lists; ROADMAP item 4 drops them from bench/
+# stale targets the tracer still lists; ROADMAP item 3 drops them from bench/
 STALE = {
     "hapbeam.harness.jacobian",
     "hapbeam.harness.sigma_xi_sq",

@@ -115,7 +115,7 @@ class TestScenarioConfig:
             {"qos": {"p_max_w": 0.0}},
             {"qos": {"r_min": -0.5}},
             {"admission": {"k_min": 0}},
-            {"admission": {"n_ref": 10}},  # the sweep cap is the solver's default
+            {"admission": {"n_ref": 10}},  # the sweep cap is the solver's MAX_SWEEPS
             {"array": {"m_x": 0}},
             {"array": {"spacing_y_wl": float("nan")}},
             {"snapshots": "abc"},

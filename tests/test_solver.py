@@ -18,6 +18,7 @@ from hapbeam.geometry import EulerZYX, WorldGeometry
 from hapbeam.harness import place_users
 from hapbeam.errors import ConfigError, InvariantError
 from hapbeam.solver import (
+    ADMISSION_PRIORITIES,
     REG_REL,
     BeamSolution,
     SnapshotProblem,
@@ -141,23 +142,26 @@ class TestProblemAndProxy:
 
 
 class TestPredictor:
-    def test_score_structure(self):
-        prob = random_problem(11, certify_frac=1.0)
-        K = prob.num_users
-        sc = predict_admission_and_scalars(prob, k_min=min(8, K))
-        k_min = min(8, K)
-        assert np.sum(sc.scores == 1.0) == k_min
-        below = sc.scores[(sc.scores < 1.0)]
-        assert np.all(below < 0.5)
-        # non-increasing along the difficulty ranking
-        order = np.lexsort((np.arange(K), sc.pi))
-        ranked = sc.scores[order]
-        assert np.all(np.diff(ranked) <= 1e-15)
+    @pytest.mark.parametrize("k_min", [1, 3, 8, 20])
+    def test_start_set_structure(self, k_min):
+        # the first min(k_min, #certified) certified users in (pi, index) order
+        for seed in range(20):
+            prob = random_problem(seed, certify_frac=0.6)
+            sc = predict_admission_and_scalars(prob, k_min=k_min)
+            K = prob.num_users
+            order = np.lexsort((np.arange(K), sc.pi))
+            order = order[prob.certified[order]]
+            expected = np.zeros(K, bool)
+            expected[order[:k_min]] = True
+            assert sc.start.dtype == bool and sc.start.shape == (K,)
+            assert np.array_equal(sc.start, expected)
 
     def test_uncertified_scored_zero(self):
         prob = random_problem(5, certify_frac=0.5)
-        sc = predict_admission_and_scalars(prob, k_min=8)
-        assert np.all(sc.scores[~prob.certified] == 0.0)
+        assert not prob.certified.all()
+        for priority in ADMISSION_PRIORITIES:
+            sc = predict_admission_and_scalars(prob, k_min=8, priority=priority)
+            assert not sc.start[~prob.certified].any()
 
     def test_channel_gain_priority(self):
         # the gain order is the qos-difficulty order under one scalar floor,
@@ -171,7 +175,20 @@ class TestPredictor:
         prob = random_problem(4, certify_frac=1.0)
         a = predict_admission_and_scalars(prob, k_min=2, priority="random", seed=9)
         b = predict_admission_and_scalars(prob, k_min=2, priority="random", seed=9)
-        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a.start, b.start)
+        assert a.start.sum() == 2
+
+    def test_unseeded_random_priority_deterministic(self):
+        # a call without a seed draws the same admission order every time
+        prob = SnapshotProblem.build(
+            _crandn(np.random.default_rng(10), 10, 6), r_min=0.5, p_max=2.0,
+            noise_power=0.1,
+        )
+        first = solve_snapshot(prob, k_min=5, priority="random")
+        for _ in range(20):
+            again = solve_snapshot(prob, k_min=5, priority="random")
+            assert again.d_matrix.tobytes() == first.d_matrix.tobytes()
+            assert again.admitted.tobytes() == first.admitted.tobytes()
 
     def test_unknown_priority(self):
         prob = random_problem(4)
@@ -188,7 +205,8 @@ class TestKKT:
     def test_empty_set_zero(self):
         prob = random_problem(1)
         sc = predict_admission_and_scalars(prob)
-        D = kkt_reconstruct(prob, np.zeros(prob.num_users, bool), sc, 0.0)
+        mask = np.zeros(prob.num_users, bool)
+        D = kkt_reconstruct(prob, kkt_decompose(prob, mask, sc), 0.0)
         assert not D.any()
 
     def test_weight_scale_invariance(self):
@@ -196,9 +214,9 @@ class TestKKT:
         prob = random_problem(8, certify_frac=1.0)
         sc = predict_admission_and_scalars(prob)
         mask = prob.certified.copy()
-        D1 = kkt_reconstruct(prob, mask, sc, 0.0)
-        sc2 = SolverScalars(sc.scores, sc.u, sc.w * 2.0, sc.pi)
-        D2 = kkt_reconstruct(prob, mask, sc2, 0.0)
+        D1 = kkt_reconstruct(prob, kkt_decompose(prob, mask, sc), 0.0)
+        sc2 = SolverScalars(sc.start, sc.u, sc.w * 2.0, sc.pi)
+        D2 = kkt_reconstruct(prob, kkt_decompose(prob, mask, sc2), 0.0)
         assert np.allclose(D1, D2, rtol=1e-10, atol=0)
 
     def test_nonadmitted_columns_zero(self):
@@ -206,7 +224,7 @@ class TestKKT:
         sc = predict_admission_and_scalars(prob)
         mask = prob.certified.copy()
         mask[0] = False
-        D = kkt_reconstruct(prob, mask, sc, 0.5)
+        D = kkt_reconstruct(prob, kkt_decompose(prob, mask, sc), 0.5)
         assert not D[:, 0].any()
         assert D[:, 1:].any()
 
@@ -216,7 +234,7 @@ class TestKKT:
         h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         prob = SnapshotProblem.build(h[None, :], 1.0, 4.0, 0.3)
         sc = predict_admission_and_scalars(prob)
-        D = kkt_reconstruct(prob, np.array([True]), sc, 0.0)
+        D = kkt_reconstruct(prob, kkt_decompose(prob, np.array([True]), sc), 0.0)
         d = D[:, 0]
         cos = abs(np.vdot(d, h.conj())) / (np.linalg.norm(d) * np.linalg.norm(h))
         assert cos == pytest.approx(1.0, abs=1e-12)
@@ -269,8 +287,9 @@ class TestKKTEigen:
         prob, mask = _kkt_case(case)
         sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
         N = prob.h_eff.shape[1]
+        eig = kkt_decompose(prob, mask, sc)
         for nu in KKT_SHIFTS:
-            D = kkt_reconstruct(prob, mask, sc, nu)
+            D = kkt_reconstruct(prob, eig, nu)
             ref, cond = _dense_kkt(prob, mask, sc, nu)
             # forward error of two backward-stable solves of one system
             tol = 100 * N * np.finfo(float).eps * cond
@@ -280,22 +299,13 @@ class TestKKTEigen:
     def test_zero_scalars_give_zero_beamformer(self):
         prob, mask = _kkt_case("analog-gram")
         K = prob.num_users
-        sc = SolverScalars(np.ones(K), np.zeros(K, complex), np.ones(K),
+        sc = SolverScalars(np.ones(K, bool), np.zeros(K, complex), np.ones(K),
                            required_power_proxy(prob))
-        for nu in KKT_SHIFTS:
-            D = kkt_reconstruct(prob, mask, sc, nu)
-            assert D.shape == (prob.h_eff.shape[1], K)
-            assert not D.any()
-
-    @pytest.mark.parametrize("case", ["rank-deficient", "analog-gram"])
-    def test_precomputed_decomposition_same_bytes(self, case):
-        prob, mask = _kkt_case(case)
-        sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
         eig = kkt_decompose(prob, mask, sc)
         for nu in KKT_SHIFTS:
-            D_own = kkt_reconstruct(prob, mask, sc, nu)
-            D_eig = kkt_reconstruct(prob, mask, sc, nu, eig)
-            assert D_own.tobytes() == D_eig.tobytes()
+            D = kkt_reconstruct(prob, eig, nu)
+            assert D.shape == (prob.h_eff.shape[1], K)
+            assert not D.any()
 
 
 class TestBisection:
@@ -307,7 +317,7 @@ class TestBisection:
             np.eye(K, dtype=complex), r_min=0.1, p_max=1e4, noise_power=1.0
         )
         sc = SolverScalars(
-            scores=np.ones(K),
+            start=np.ones(K, bool),
             u=np.full(K, 0.1, dtype=complex),
             w=np.ones(K),
             pi=required_power_proxy(prob),
@@ -343,9 +353,9 @@ class TestBisection:
     def test_power_monotone_in_dual(self):
         prob = random_problem(33, certify_frac=1.0)
         sc = predict_admission_and_scalars(prob)
-        mask = prob.certified.copy()
+        eig = kkt_decompose(prob, prob.certified, sc)
         powers = [
-            transmit_power(prob, kkt_reconstruct(prob, mask, sc, nu))
+            transmit_power(prob, kkt_reconstruct(prob, eig, nu))
             for nu in np.logspace(-3, 3, 25)
         ]
         assert np.all(np.diff(powers) <= 1e-12)
@@ -385,12 +395,13 @@ class TestDualPower:
         else:
             prob, mask = _kkt_case(case)
         sc = predict_admission_and_scalars(prob, k_min=prob.num_users)
-        lam, c = solver._secular_terms(kkt_decompose(prob, mask, sc))
+        eig = kkt_decompose(prob, mask, sc)
+        lam, c = solver._secular_terms(eig)
         N = prob.h_eff.shape[1]
         # the same sums of N_RF-term products in another order, weighted by G
         tol = 100 * N * np.finfo(float).eps * np.linalg.cond(prob.analog_gram)
         for nu in KKT_SHIFTS:
-            ref = transmit_power(prob, kkt_reconstruct(prob, mask, sc, nu))
+            ref = transmit_power(prob, kkt_reconstruct(prob, eig, nu))
             err = abs(np.sum(c / (lam + nu) ** 2) - ref) / ref
             assert err <= tol, (case, nu, err, tol)
 
@@ -399,7 +410,7 @@ class TestDualPower:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[3])
+            calls.append(args[2])
             return kkt_reconstruct(*args, **kwargs)
 
         monkeypatch.setattr(solver, "kkt_reconstruct", counting)
@@ -411,7 +422,7 @@ class TestDualPower:
             calls.clear()
             nu, D, n_ev = power_dual_bisection(prob, mask, sc)
             assert calls == [nu]
-            ref = kkt_reconstruct(prob, mask, sc, nu)
+            ref = kkt_reconstruct(prob, kkt_decompose(prob, mask, sc), nu)
             assert D.tobytes() == ref.tobytes()
             searched += n_ev > 2
         assert searched > 10  # the budget is tight enough to force Newton steps
@@ -421,7 +432,7 @@ class TestDualPower:
         prob, mask = _kkt_case("analog-gram")
         prob = replace(prob, p_max=prob.p_max * 10 ** (-backoff_db / 10))
         K = prob.num_users
-        sc = SolverScalars(np.ones(K), np.zeros(K, complex), np.ones(K),
+        sc = SolverScalars(np.ones(K, bool), np.zeros(K, complex), np.ones(K),
                            required_power_proxy(prob))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -509,7 +520,7 @@ class TestRepairAndSolve:
             return D, rates, np.ones(len(masks), int)
 
         monkeypatch.setattr(solver, "_solve_projected", scripted)
-        sc = SolverScalars(np.zeros(4), np.zeros(4, complex), np.ones(4),
+        sc = SolverScalars(np.zeros(4, bool), np.zeros(4, complex), np.ones(4),
                            np.array([0.1, 0.2, 0.3, 0.0]))
         admitted, _, stats = strict_repair(prob, np.array([0, 0, 0, 1], bool), sc)
         assert admitted.tolist() == [True, True, False, True]
@@ -639,23 +650,25 @@ class TestRefinement:
         gains = np.array([4.0, 1.0])
         level = (prob.p_max + np.sum(1.0 / gains)) / 2
         wf = np.sum(np.log2(1.0 + gains * (level - 1.0 / gains)))
-        sol = solve_snapshot(prob, n_ref=10)
+        sol = solve_snapshot(prob)
         assert sol.admitted.all()
         assert sol.sum_rate >= 0.99 * wf
         assert sol.sum_rate <= wf + 1e-9
 
-    def test_never_decreases_objective(self):
+    def test_never_decreases_objective(self, monkeypatch):
         for seed in range(60):
             prob = random_problem(seed, k_max=8, p_max=2.0)
-            s0 = solve_snapshot(prob, n_ref=0)
-            s10 = solve_snapshot(prob, n_ref=10)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "MAX_SWEEPS", 0)  # the unrefined solve
+                s0 = solve_snapshot(prob)
+            s10 = solve_snapshot(prob)
             assert s10.sum_rate >= s0.sum_rate - 1e-12
             assert np.array_equal(s0.admitted, s10.admitted)
 
     def test_refine_preserves_feasibility(self):
         for seed in range(40):
             prob = random_problem(seed + 500)
-            sol = solve_snapshot(prob, n_ref=10)
+            sol = solve_snapshot(prob)
             assert sol.feasible
 
     def test_refinement_searches_once_per_sweep(self, monkeypatch):
@@ -698,7 +711,7 @@ class TestRefinement:
         for seed in range(50):
             prob = random_problem(seed)
             sol = solve_snapshot(prob)
-            assert sol.stats["refine_tried"] <= 10
+            assert sol.stats["refine_tried"] <= solver.MAX_SWEEPS
             # each dual solve spends one evaluation at nu = 0 and one per
             # Newton step; repair runs at most K drop solves plus K passes of
             # K add-back trials

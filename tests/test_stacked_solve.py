@@ -137,13 +137,13 @@ class TestStackedCalls:
         prob, sc, masks = _stack_case(T, n_rf, seed=100 * T + n_rf)
         eig = kkt_decompose(prob, masks, sc)
         nus = np.linspace(0.0, 2.0, T)
-        D = kkt_reconstruct(prob, masks, sc, nus, eig)
+        D = kkt_reconstruct(prob, eig, nus)
         assert D.shape == (T, n_rf, prob.num_users)
         for t, mask in enumerate(masks):
             one = kkt_decompose(prob, mask, sc)
             for stacked, single in zip(eig, one):
                 assert stacked[t].tobytes() == single.tobytes()
-            assert D[t].tobytes() == kkt_reconstruct(prob, mask, sc, nus[t]).tobytes()
+            assert D[t].tobytes() == kkt_reconstruct(prob, one, nus[t]).tobytes()
 
     @pytest.mark.parametrize("T, n_rf", STACKS)
     @pytest.mark.parametrize("backoff_db", [0.0, 0.5])
