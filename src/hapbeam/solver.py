@@ -14,11 +14,14 @@ error is certified.  The solve pipeline:
    the diagonal secular function sum c_i / (lam_i + nu)^2, a Newton search
    meets the budget in a few evaluations, and the beamformer is built once,
    at the chosen dual, before a final scaling projection;
-3. strict repair drops the worst-violating admitted user until every
-   admitted rate clears its floor, then adds back any certified user that
-   fits without breaking feasibility: each add-back scan pass solves all of
-   its trials, which share one admitted set plus one user each, as one
-   stacked solve and keeps the first feasible trial in scan order;
+3. strict repair first screens out every certified user that no
+   beamformer the solver builds could serve even alone at full power, then
+   drops the worst-violating admitted user until every admitted rate clears
+   its floor, then adds back any screened-in user that fits without
+   breaking feasibility: each add-back scan pass solves all of its trials,
+   which share one admitted set plus one user each, as one stacked solve
+   (a pass of one trial as the single call) and keeps the first feasible
+   trial in scan order;
 4. at most MAX_SWEEPS refinement sweeps re-derive the scalars from the
    current beamformer and accept an iterate only when it stays feasible and
    does not lower the admitted sum-rate.
@@ -44,6 +47,7 @@ W_CLAMP = (1.0, 1e6)  # MMSE weight clamp
 MAX_NEWTON = 40  # Newton steps per dual search
 MAX_SWEEPS = 10  # refinement sweeps per solve
 POWER_BAND = 0.99  # the dual search aims at the middle of [band, 1] * P_max
+SCREEN_SLACK = 1e-9  # relative slack that keeps a user on the edge of strict_repair's screen
 
 
 @dataclass(frozen=True)
@@ -170,13 +174,17 @@ class BeamSolution:
     stats: dict = field(default_factory=dict)
 
 
+def _sinr_targets(problem: SnapshotProblem) -> np.ndarray:
+    """SINR target gamma_k = 2^(r_min/B) - 1 of each rate floor."""
+    return 2.0 ** (problem.r_min / problem.bandwidth) - 1.0
+
+
 def required_power_proxy(problem: SnapshotProblem) -> np.ndarray:
     """QoS difficulty pi_k = gamma_k * noise / (||h_eff_k||^2 + eps):
-    matched-filter transmit power that would hit the SINR target
-    gamma_k = 2^(r_min/B) - 1 with no interference."""
-    gamma = 2.0 ** (problem.r_min / problem.bandwidth) - 1.0
+    matched-filter transmit power that would hit the SINR target gamma_k
+    with no interference."""
     gains = np.sum(np.abs(problem.h_eff) ** 2, axis=1)
-    return gamma * problem.noise_power / (gains + EPS_PI)
+    return _sinr_targets(problem) * problem.noise_power / (gains + EPS_PI)
 
 
 def transmit_power(problem: SnapshotProblem, D: np.ndarray) -> float:
@@ -419,16 +427,33 @@ def power_dual_bisection(
 def _solve_projected(problem, admitted, scalars):
     """Power-dual reconstruction, exact power projection and the resulting
     rates: (D, rates, dual evaluations), each with a leading axis for a
-    (T, K) stack of masks."""
-    _, D, n_ev = power_dual_bisection(problem, admitted, scalars)
+    (T, K) stack of masks.  A stack of one mask is solved as its single
+    call, which gives the same bits at less cost."""
+    one = admitted.ndim == 2 and len(admitted) == 1
+    _, D, n_ev = power_dual_bisection(problem, admitted[0] if one else admitted, scalars)
     D = project_power(problem, D)
     _, rates = _rates(problem, D)
+    if one:
+        return D[None], rates[None], np.array([n_ev])
     return D, rates, n_ev
 
 
 def _feasible(problem: SnapshotProblem, admitted: np.ndarray, rates: np.ndarray):
     """Every admitted rate clears its floor; one flag per slice of a stack."""
     return ((rates >= problem.r_min) | ~admitted).all(-1)
+
+
+def _screened_in(problem: SnapshotProblem) -> np.ndarray:
+    """Certified users with gamma_k * noise <= P_max * ||(h_eff W)_k||^2,
+    up to the relative slack SCREEN_SLACK, W = `problem.whitener`.
+
+    Every beamformer the solver returns is D = W E with ||E||_F^2 <= P_max:
+    the dual search stops at the first whitened power within budget, and
+    the projection only shrinks D.  So SINR_k <= P_max ||(h_eff W)_k||^2 /
+    noise, and no admitted set can hold a user this screen removes."""
+    gains = np.sum(np.abs(problem.h_eff @ problem.whitener) ** 2, axis=1)
+    reach = problem.p_max * gains * (1.0 + SCREEN_SLACK)
+    return problem.certified & (_sinr_targets(problem) * problem.noise_power <= reach)
 
 
 def strict_repair(
@@ -439,19 +464,27 @@ def strict_repair(
     """Violation-driven drops to feasibility, then ascending-difficulty
     add-backs that must preserve full feasibility.
 
-    The drop metric is gap_k / (pi_k + eps) with gap_k = (r_min - R_k)_+:
-    the largest QoS shortfall per unit of required power, ties to the lowest
-    index.  Terminates within K drops.  The add-back pool is every
-    certified user outside the admitted set, scanned in ascending pi_k
+    Only the users `_screened_in` keeps take part; `stats["screened"]`
+    counts the certified users it removes.  The drop metric is
+    gap_k / (pi_k + eps) with gap_k = (r_min - R_k)_+: the largest QoS
+    shortfall per unit of required power, ties to the lowest index.
+    Terminates within K drops.  The add-back pool is every
+    screened-in user outside the admitted set, scanned in ascending pi_k
     until a full pass adds no one.  One pass is one stacked solve of all
     its trials (the admitted set plus one candidate each); the first
     feasible trial in scan order is accepted, and `dual_evals` counts
     the trials up to and including it, as a trial-by-trial scan would.
+    The first pass after a drop does not solve the trial of the last
+    dropped user: that is the set the drop loop last solved and found
+    infeasible, and its evaluations are counted again.
     """
     K = problem.num_users
-    admitted = np.asarray(admitted0, dtype=bool) & problem.certified
-    stats = {"drops": 0, "addbacks": 0, "dual_evals": 0}
+    pool = _screened_in(problem)
+    admitted = np.asarray(admitted0, dtype=bool) & pool
+    stats = {"drops": 0, "addbacks": 0, "dual_evals": 0,
+             "screened": int(np.count_nonzero(problem.certified & ~pool))}
     D = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
+    dropped, dropped_ev = -1, 0
     for _ in range(K + 1):
         if not admitted.any():
             D = np.zeros_like(D)
@@ -463,7 +496,8 @@ def strict_repair(
         if not gaps.any():
             break
         metric = np.where(admitted, gaps / (scalars.pi + EPS_PI), -np.inf)
-        admitted[int(np.argmax(metric))] = False
+        dropped, dropped_ev = int(np.argmax(metric)), n_ev
+        admitted[dropped] = False
         stats["drops"] += 1
     else:
         raise InvariantError("repair failed to terminate within K drops")
@@ -472,18 +506,25 @@ def strict_repair(
     # accepted user restarts the scan, a scan that accepts no one ends it
     order = np.lexsort((np.arange(K), scalars.pi))
     while True:
-        cand = order[problem.certified[order] & ~admitted[order]]
+        cand = order[pool[order] & ~admitted[order]]
         if not cand.size:
             return admitted, D, stats
-        trials = np.repeat(admitted[None], cand.size, axis=0)
-        trials[np.arange(cand.size), cand] = True
-        D_t, rates_t, n_ev = _solve_projected(problem, trials, scalars)
-        fits = np.flatnonzero(_feasible(problem, trials, rates_t))
+        solved = cand != dropped  # the last drop's trial is known infeasible
+        dropped = -1
+        trials = np.repeat(admitted[None], np.count_nonzero(solved), axis=0)
+        trials[np.arange(len(trials)), cand[solved]] = True
+        n_ev = np.full(cand.size, dropped_ev)
+        fits = np.zeros(cand.size, dtype=bool)
+        if len(trials):
+            D_t, rates_t, n_ev[solved] = _solve_projected(problem, trials, scalars)
+            fits[solved] = _feasible(problem, trials, rates_t)
+        fits = np.flatnonzero(fits)
         stop = fits[0] + 1 if fits.size else cand.size
         stats["dual_evals"] += int(n_ev[:stop].sum())
         if not fits.size:
             return admitted, D, stats
-        admitted, D = trials[fits[0]], D_t[fits[0]].copy()
+        t = np.count_nonzero(solved[: fits[0]])
+        admitted, D = trials[t], D_t[t].copy()
         stats["addbacks"] += 1
 
 

@@ -241,20 +241,26 @@ def _oracle_qar(prob: SnapshotProblem) -> float:
     return 0.0
 
 
-def test_criterion_07_small_instance_oracle():
+def _oracle_problems(total: int = 500):
+    """Criterion 7's small instances: K = 2..4 users on K chains."""
     rng = np.random.default_rng(707)
-    match = 0
-    total = 500
-    for case in range(total):
+    for _ in range(total):
         K = int(rng.integers(2, 5))
         H = (rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))) / np.sqrt(2 * K)
-        prob = SnapshotProblem.build(
+        yield SnapshotProblem.build(
             H,
             r_min=rng.uniform(0.1, 2.0, K),
             p_max=float(rng.uniform(0.5, 5.0)),
             noise_power=float(rng.uniform(0.01, 0.5)),
             certified=rng.random(K) < 0.9,
         )
+
+
+def test_criterion_07_small_instance_oracle():
+    match = 0
+    total = 500
+    for case, prob in enumerate(_oracle_problems(total)):
+        K = prob.num_users
         got = solve_snapshot(prob, k_min=8).qar
         oracle = _oracle_qar(prob)
         assert got <= oracle + 1e-12, f"case {case}: beat the exhaustive oracle"

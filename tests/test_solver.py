@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hapbeam.solver as solver
+import test_acceptance
 from hapbeam.array_model import ArrayConfig, analog_beamformer_at
 from hapbeam.channel import (
     ChannelParams,
@@ -602,6 +603,73 @@ class TestEdgeCases:
         for seed in range(30):
             prob = random_problem(seed, p_max=p_max)
             self.assert_solution_ok(prob, solve_snapshot(prob))
+
+
+class TestScreen:
+    """strict_repair screens out only users that no beamformer the solver
+    builds, D = W E with ||E||_F^2 <= P_max, can lift to their SINR target."""
+
+    def test_fuzz_screened_users_stay_below_target(self):
+        rng = np.random.default_rng(0)
+        screened = 0
+        for seed in range(600):
+            prob = test_acceptance._fuzz_snapshot(seed)
+            out = np.flatnonzero(prob.certified & ~solver._screened_in(prob))
+            screened += out.size
+            if not out.size:
+                continue
+            N, K = prob.h_eff.shape[1], prob.num_users
+            gamma = 2.0 ** (prob.r_min / prob.bandwidth) - 1.0
+            # random whitened beamformers, and for each screened user the
+            # one that serves it alone along its whitened channel
+            E = _crandn(rng, 16 + out.size, N, K)
+            E[16:] = 0.0
+            E[16 + np.arange(out.size), :, out] = (prob.h_eff[out] @ prob.whitener).conj()
+            E *= np.sqrt(prob.p_max / np.sum(np.abs(E) ** 2, axis=(1, 2)))[:, None, None]
+            sinr, _ = sinr_and_rates(prob.h_eff, prob.whitener @ E, prob.noise_power,
+                                     prob.bandwidth)
+            assert np.all(sinr[:, out] < gamma[out]), f"seed {seed}"
+        assert screened > 1000
+
+    def test_oracle_subsets_hold_no_screened_user(self):
+        screened = feasible = 0
+        for prob in test_acceptance._oracle_problems():
+            keep = solver._screened_in(prob)
+            screened += np.count_nonzero(prob.certified & ~keep)
+            scalars = predict_admission_and_scalars(prob, k_min=prob.num_users)
+            cert = np.flatnonzero(prob.certified)
+            for r in range(1, len(cert) + 1):
+                for subset in itertools.combinations(cert, r):
+                    mask = np.zeros(prob.num_users, bool)
+                    mask[list(subset)] = True
+                    _, D, _ = power_dual_bisection(prob, mask, scalars)
+                    _, rates = sinr_and_rates(prob.h_eff, project_power(prob, D),
+                                              prob.noise_power, prob.bandwidth)
+                    if np.all(rates[mask] >= prob.r_min[mask]):
+                        feasible += 1
+                        assert keep[mask].all()
+        assert screened > 0 and feasible > 0
+
+    def test_singular_gram_keeps_a_floor_just_under_the_single_user_optimum(self):
+        prob = _shared_direction_problem()
+        # alone, user k reaches at most SINR P_max h_k^H G^+ h_k / noise
+        # within ||A d||^2 <= P_max; the ridged whitener must not cut it
+        best = np.einsum("ki,ij,kj->k", prob.h_eff,
+                         np.linalg.pinv(prob.analog_gram, hermitian=True),
+                         prob.h_eff.conj()).real * prob.p_max / prob.noise_power
+        prob = replace(prob, r_min=np.log2(1.0 + (1.0 - 1e-6) * best))
+        assert solver._screened_in(prob).all()
+        sol = solve_snapshot(replace(prob, r_min=np.log2(1.0 + 0.5 * best)))
+        assert sol.stats["screened"] == 0 and sol.admitted.any()
+
+    def test_zero_channel_with_zero_floor_stays_admissible(self):
+        H = np.eye(3, dtype=complex)
+        H[1] = 0.0
+        prob = SnapshotProblem.build(H, r_min=[0.5, 0.0, 0.5], p_max=1.0, noise_power=0.1)
+        assert solver._screened_in(prob).all()
+        sol = solve_snapshot(prob, k_min=1)
+        assert sol.stats["screened"] == 0 and sol.admitted.all()
+        assert not sol.d_matrix[:, 1].any()
 
 
 class TestExhaustiveOracle:

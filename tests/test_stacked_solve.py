@@ -31,12 +31,25 @@ from hapbeam.solver import (
 )
 
 
+def screened_in(problem):
+    """The certified users that some beamformer W E with ||E||_F^2 = P_max
+    could serve alone: gamma_k * noise <= P_max * ||(h_eff W)_k||^2, with
+    the solver's relative slack."""
+    gamma = 2.0 ** (problem.r_min / problem.bandwidth) - 1.0
+    gains = np.sum(np.abs(problem.h_eff @ problem.whitener) ** 2, axis=1)
+    reach = problem.p_max * gains * (1.0 + solver.SCREEN_SLACK)
+    return problem.certified & (gamma * problem.noise_power <= reach)
+
+
 def reference_strict_repair(problem, admitted0, scalars):
     """The add-back scan as one `_solve_projected` call per trial, in scan
-    order, stopping at the first feasible trial; the drops are unchanged."""
+    order, stopping at the first feasible trial, over the screened-in
+    users; the drops are unchanged."""
     K = problem.num_users
-    admitted = np.asarray(admitted0, dtype=bool) & problem.certified
-    stats = {"drops": 0, "addbacks": 0, "dual_evals": 0}
+    pool = screened_in(problem)
+    admitted = np.asarray(admitted0, dtype=bool) & pool
+    stats = {"drops": 0, "addbacks": 0, "dual_evals": 0,
+             "screened": int(problem.certified.sum() - pool.sum())}
 
     def solve_for(mask):
         D, rates, n_ev = solver._solve_projected(problem, mask, scalars)
@@ -62,7 +75,7 @@ def reference_strict_repair(problem, admitted0, scalars):
     order = np.lexsort((np.arange(K), scalars.pi))
     while True:
         for k in order:
-            if admitted[k] or not problem.certified[k]:
+            if admitted[k] or not pool[k]:
                 continue
             trial = admitted.copy()
             trial[k] = True
@@ -280,31 +293,37 @@ class TestScanEdgeCases:
         assert sizes == [1] and sol.admitted.all()
 
     def test_empty_admitted_set_after_drops(self, monkeypatch):
-        # the strongest user is admitted alone and cannot reach its floor
+        # the strongest user is admitted alone and misses its floor, which
+        # lies between the rate its solve reaches alone (9.759 bit) and the
+        # screen's full-power bound (9.764 bit)
         rng = np.random.default_rng(8)
         H = _crandn(rng, 4, 4)
         H[0] *= 3
-        prob = SnapshotProblem.build(H, r_min=[40.0, 0.5, 0.8, 1.0], p_max=2.0,
+        prob = SnapshotProblem.build(H, r_min=[9.762, 0.5, 0.8, 1.0], p_max=2.0,
                                      noise_power=0.1)
         admitted, _, stats, sizes = self.check_repair(prob, np.eye(4, dtype=bool)[0],
                                                       monkeypatch)
-        assert stats["drops"] == 1
-        assert sizes[0] == 4  # every certified user alone
+        assert stats["drops"] == 1 and stats["screened"] == 0
+        # every other certified user alone; the drop loop already solved user 0 alone
+        assert sizes[0] == 3
         assert admitted.tolist() == [False, True, True, True]
 
     @pytest.mark.parametrize("r_min", [0.0, 0.5])
     def test_zero_channel_candidate(self, monkeypatch, r_min):
-        # after the drop the pass tries single users, one of them with an
-        # all-zero row: its trial takes the trace <= 0 branch in the stack
-        # and has zero rates, which fit a zero floor only
+        # after the drop (user 0's floor lies between its rate alone, 10.058
+        # bit, and the screen's bound, 10.064 bit) the pass tries single
+        # users; one has an all-zero row, which the screen keeps for a zero
+        # floor only: its trial takes the trace <= 0 branch in the stack and
+        # has zero rates, which fit that floor
         rng = np.random.default_rng(9)
         H = _crandn(rng, 5, 4)
         H[0] *= 3
         H[3] = 0.0
-        prob = SnapshotProblem.build(H, r_min=[40.0, 0.5, 0.8, r_min, 1.0], p_max=2.0,
+        prob = SnapshotProblem.build(H, r_min=[10.06, 0.5, 0.8, r_min, 1.0], p_max=2.0,
                                      noise_power=0.1)
-        admitted, D, _, sizes = self.check_repair(prob, np.eye(5, dtype=bool)[0],
-                                                  monkeypatch)
-        assert sizes[0] == 5
+        admitted, D, stats, sizes = self.check_repair(prob, np.eye(5, dtype=bool)[0],
+                                                      monkeypatch)
+        assert stats["drops"] == 1 and stats["screened"] == (r_min > 0.0)
+        assert sizes[0] == 4 - stats["screened"]
         assert admitted[3] == (r_min == 0.0)
         assert not D[:, 3].any()
