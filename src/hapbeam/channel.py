@@ -100,8 +100,7 @@ def sinr_and_rates(
     """Per-user SINR and Shannon rate for a digital beamformer D.
 
     G = H_eff @ D; SINR_k = |G_kk|^2 / (sum_{j != k} |G_kj|^2 + noise);
-    rate_k = bandwidth * log2(1 + SINR_k).  A (T, N_RF, K) stack of
-    beamformers gives (T, K) arrays, each row equal to its single call.
+    rate_k = bandwidth * log2(1 + SINR_k).
     """
     if noise_power <= 0:
         raise ValueError("noise power must be positive")

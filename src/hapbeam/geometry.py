@@ -19,6 +19,7 @@ import numpy as np
 from .errors import AmbiguousAxisError, DegenerateAttitudeError
 
 _GIMBAL_TOL = 1e-9
+_ROTATION_TOL = 1e-9  # ensure_rotation's bound on |R R^T - I| and |det R - 1|
 _PI_AXIS_TOL = 1e-9
 _SMALL_ANGLE = 1e-6
 
@@ -133,16 +134,19 @@ def rotation_log_vee(R_hat: np.ndarray, R: np.ndarray) -> np.ndarray:
     return scale * v
 
 
-def ensure_rotation(R: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Validate orthonormality (R R^T = I) and det = +1 within tol, per 3x3 slice."""
+def ensure_rotation(R: np.ndarray) -> np.ndarray:
+    """Validate finiteness, orthonormality (R R^T = I) and det = +1 within
+    _ROTATION_TOL, per 3x3 slice."""
     R = np.asarray(R, dtype=float)
     if R.shape[-2:] != (3, 3):
         raise ValueError(f"rotation must be 3x3 or a stack of them, got {R.shape}")
+    if not np.all(np.isfinite(R)):
+        raise ValueError("rotation must be finite")
     err = np.max(np.abs(R @ np.swapaxes(R, -1, -2) - np.eye(3)))
-    if err > tol:
+    if not err <= _ROTATION_TOL:
         raise ValueError(f"matrix is not orthonormal: max |R R^T - I| = {err:.3g}")
     det = float(np.min(np.linalg.det(R)))  # orthonormal, so +-1: the min finds a -1
-    if abs(det - 1.0) > tol:
+    if not abs(det - 1.0) <= _ROTATION_TOL:
         raise ValueError(f"matrix is not a proper rotation: det = {det:.12g}")
     return R
 

@@ -18,10 +18,9 @@ error is certified.  The solve pipeline:
    beamformer the solver builds could serve even alone at full power, then
    drops the worst-violating admitted user until every admitted rate clears
    its floor, then adds back any screened-in user that fits without
-   breaking feasibility: each add-back scan pass solves all of its trials,
-   which share one admitted set plus one user each, as one stacked solve
-   (a pass of one trial as the single call) and keeps the first feasible
-   trial in scan order;
+   breaking feasibility: each add-back scan pass solves the admitted set
+   plus one candidate at a time, in ascending difficulty, and keeps the
+   first feasible trial;
 4. at most MAX_SWEEPS refinement sweeps re-derive the scalars from the
    current beamformer and accept an iterate only when it stays feasible and
    does not lower the admitted sum-rate.
@@ -188,36 +187,20 @@ def required_power_proxy(problem: SnapshotProblem) -> np.ndarray:
 
 
 def transmit_power(problem: SnapshotProblem, D: np.ndarray) -> float:
-    """||A D||_F^2 through the analog Gram.  A (T, N_RF, K) stack gives the
-    (T,) powers; a (1, N K) @ (N K, 1) product per slice is the dot product
-    `np.vdot` takes of one beamformer."""
-    GD = problem.analog_gram @ D
-    if D.ndim == 2:
-        return float(np.vdot(D, GD).real)
-    T = len(D)
-    return (D.conj().reshape(T, 1, -1) @ GD.reshape(T, -1, 1)).real[:, 0, 0]
+    """||A D||_F^2 through the analog Gram."""
+    return float(np.vdot(D, problem.analog_gram @ D).real)
 
 
 def project_power(problem: SnapshotProblem, D: np.ndarray) -> np.ndarray:
     """Feasibility projection: scale by min(1, sqrt(P_max / power)).  The
     square root and the scaling round, so a scaled D that still measures
-    above P_max is shrunk until `transmit_power` is within the budget.
-    A (T, N_RF, K) stack is projected slice by slice."""
+    above P_max is shrunk until `transmit_power` is within the budget."""
     p = transmit_power(problem, D)
-    if D.ndim == 2:
-        scale = min(1.0, np.sqrt(problem.p_max / (p + EPS_P)))
+    scale = min(1.0, np.sqrt(problem.p_max / (p + EPS_P)))
+    out = D * scale
+    while p > problem.p_max and transmit_power(problem, out) > problem.p_max:
+        scale *= SHRINK
         out = D * scale
-        while p > problem.p_max and transmit_power(problem, out) > problem.p_max:
-            scale *= SHRINK
-            out = D * scale
-        return out
-    scale = np.minimum(1.0, np.sqrt(problem.p_max / (p + EPS_P)))
-    out = D * scale[:, None, None]
-    over = p > problem.p_max
-    while over.any():
-        over &= transmit_power(problem, out) > problem.p_max
-        scale[over] *= SHRINK
-        out = D * scale[:, None, None]
     return out
 
 
@@ -286,45 +269,18 @@ def kkt_decompose(
     by D = B Z / (lam + nu) with power sum ||Z_i||^2 / (lam_i + nu)^2.
     reg = REG_REL * tr(W^H C W)/N_RF keeps rank-deficient C (fewer admitted
     users than chains at nu = 0) solvable as the limit of the regularized
-    path.
-
-    A (T, K) stack of masks that all admit the same number n of users gives
-    the T decompositions on a leading axis, idx (T, n), each slice equal to
-    its single call.  A set whose trace is <= 0 has D = 0 at every shift:
-    alone it keeps no users; in a stack it keeps its shape, with B = 0,
-    Z = 0 and lam = 1, so that every shift rebuilds exact zeros."""
-    admitted = np.asarray(admitted)
-    if admitted.ndim == 1:
-        idx = np.flatnonzero(admitted)
-        Hm = problem.h_eff[idx] @ problem.whitener  # rows (W^H h_k)^H
-        C = (Hm.conj().T * (scalars.w[idx] * np.abs(scalars.u[idx]) ** 2)) @ Hm
-        trace = C.trace().real
-        if trace <= 0.0:  # scalars and right-hand sides all vanish: D = 0 at any shift
-            idx, Hm = idx[:0], Hm[:0]
-        rhs = Hm.conj().T * (scalars.w[idx] * scalars.u[idx].conj())
-        lam, U = np.linalg.eigh(C)
-        reg = REG_REL * max(trace, 0.0) / C.shape[0]
-        return idx, problem.whitener @ U, np.maximum(lam, 0.0) + reg, U.conj().T @ rhs
-    # the same operations on (T, ...) stacks, one BLAS or LAPACK call per slice
-    n = admitted.sum(1)
-    if (n != n[0]).any():
-        raise ValueError(f"stacked admitted sets differ in size: {n.tolist()}")
-    idx = np.nonzero(admitted)[1].reshape(len(n), n[0])
-    w, u = scalars.w[idx], scalars.u[idx]
-    Hm = problem.h_eff[idx] @ problem.whitener
-    HmH = Hm.conj().swapaxes(1, 2)
-    C = (HmH * (w * np.abs(u) ** 2)[:, None, :]) @ Hm
-    trace = C.trace(axis1=1, axis2=2).real
-    rhs = HmH * (w * u.conj())[:, None, :]
+    path.  A set whose trace is <= 0 has D = 0 at every shift, so it keeps
+    no users."""
+    idx = np.flatnonzero(admitted)
+    Hm = problem.h_eff[idx] @ problem.whitener  # rows (W^H h_k)^H
+    C = (Hm.conj().T * (scalars.w[idx] * np.abs(scalars.u[idx]) ** 2)) @ Hm
+    trace = C.trace().real
+    if trace <= 0.0:  # scalars and right-hand sides all vanish: D = 0 at any shift
+        idx, Hm = idx[:0], Hm[:0]
+    rhs = Hm.conj().T * (scalars.w[idx] * scalars.u[idx].conj())
     lam, U = np.linalg.eigh(C)
-    reg = REG_REL * np.maximum(trace, 0.0) / C.shape[-1]
-    B = problem.whitener @ U
-    lam = np.maximum(lam, 0.0) + reg[:, None]
-    Z = U.conj().swapaxes(1, 2) @ rhs
-    dead = trace <= 0.0
-    if dead.any():
-        B[dead], lam[dead], Z[dead] = 0.0, 1.0, 0.0
-    return idx, B, lam, Z
+    reg = REG_REL * max(trace, 0.0) / C.shape[0]
+    return idx, problem.whitener @ U, np.maximum(lam, 0.0) + reg, U.conj().T @ rhs
 
 
 def kkt_reconstruct(problem: SnapshotProblem, eig: tuple, nu: float) -> np.ndarray:
@@ -335,37 +291,22 @@ def kkt_reconstruct(problem: SnapshotProblem, eig: tuple, nu: float) -> np.ndarr
     so nu prices the transmit power ||A D||^2 that the budget bounds.
     `eig` is C's eigendecomposition from `kkt_decompose`, taken once per
     admitted set; a shift only rescales its eigenvalues: D = B Z / (lam + nu).
-    The decomposition of a (T, K) stack of masks takes a (T,) array of
-    shifts and gives (T, N_RF, K).
     """
+    if nu < 0:
+        raise ValueError(f"dual variable must be >= 0, got {nu}")
     idx, B, lam, Z = eig
-    if idx.ndim == 1:
-        if nu < 0:
-            raise ValueError(f"dual variable must be >= 0, got {nu}")
-        D = np.zeros((problem.h_eff.shape[1], problem.num_users), dtype=complex)
-        D[:, idx] = B @ (Z / (lam + nu)[:, None])
-        return D
-    nu = np.asarray(nu, dtype=float)
-    if (nu < 0).any():
-        raise ValueError(f"dual variables must be >= 0, got {nu}")
-    T = len(idx)
-    D = np.zeros((T, problem.h_eff.shape[1], problem.num_users), dtype=complex)
-    cols = B @ (Z / (lam + nu[..., None])[:, :, None])
-    D[np.arange(T)[:, None], :, idx] = cols.swapaxes(1, 2)
+    D = np.zeros((problem.h_eff.shape[1], problem.num_users), dtype=complex)
+    D[:, idx] = B @ (Z / (lam + nu)[:, None])
     return D
 
 
 def _secular_terms(eig: tuple):
     """(lam_i, c_i = ||Z_i||^2) of the power sum, without the c_i = 0 terms:
-    an empty or all-zero admitted set has none and power 0 at every shift.
-    A stacked decomposition gives a list of one such pair per slice, since
-    each slice keeps its own terms."""
+    an empty or all-zero admitted set has none and power 0 at every shift."""
     _, _, lam, Z = eig
     c = (Z * Z.conj()).real.sum(axis=-1)
     keep = c > 0.0
-    if c.ndim == 1:
-        return lam[keep], c[keep]
-    return [(lam_t[keep_t], c_t[keep_t]) for lam_t, c_t, keep_t in zip(lam, c, keep)]
+    return lam[keep], c[keep]
 
 
 def _rates(problem: SnapshotProblem, D: np.ndarray):
@@ -407,40 +348,25 @@ def power_dual_bisection(
     and slope from the secular terms of `_secular_terms`, and the
     beamformer is built by `kkt_reconstruct` once, at the chosen nu.
     Returns (nu, D, number of power evaluations); more than MAX_NEWTON
-    Newton steps raise InvariantError.  A (T, K) stack of equal-size masks
-    is decomposed and reconstructed as one stack, with one Newton search
-    per slice: nu and the evaluation counts are then (T,) arrays.
+    Newton steps raise InvariantError.
     """
     eig = kkt_decompose(problem, admitted, scalars)
-    if eig[0].ndim == 1:
-        lam, c = _secular_terms(eig)
-        nu, n_ev = _newton_dual(lam, c, problem.p_max)
-    else:
-        terms = _secular_terms(eig)
-        nu, n_ev = map(np.array, zip(*(
-            _newton_dual(lam, c, problem.p_max) for lam, c in terms
-        )))
-    D = kkt_reconstruct(problem, eig, nu)
-    return nu, D, n_ev
+    nu, n_ev = _newton_dual(*_secular_terms(eig), problem.p_max)
+    return nu, kkt_reconstruct(problem, eig, nu), n_ev
 
 
 def _solve_projected(problem, admitted, scalars):
     """Power-dual reconstruction, exact power projection and the resulting
-    rates: (D, rates, dual evaluations), each with a leading axis for a
-    (T, K) stack of masks.  A stack of one mask is solved as its single
-    call, which gives the same bits at less cost."""
-    one = admitted.ndim == 2 and len(admitted) == 1
-    _, D, n_ev = power_dual_bisection(problem, admitted[0] if one else admitted, scalars)
+    rates: (D, rates, dual evaluations)."""
+    _, D, n_ev = power_dual_bisection(problem, admitted, scalars)
     D = project_power(problem, D)
     _, rates = _rates(problem, D)
-    if one:
-        return D[None], rates[None], np.array([n_ev])
     return D, rates, n_ev
 
 
-def _feasible(problem: SnapshotProblem, admitted: np.ndarray, rates: np.ndarray):
-    """Every admitted rate clears its floor; one flag per slice of a stack."""
-    return ((rates >= problem.r_min) | ~admitted).all(-1)
+def _feasible(problem: SnapshotProblem, admitted: np.ndarray, rates: np.ndarray) -> bool:
+    """Every admitted rate clears its floor."""
+    return bool(np.all((rates >= problem.r_min) | ~admitted))
 
 
 def _screened_in(problem: SnapshotProblem) -> np.ndarray:
@@ -458,11 +384,10 @@ def _screened_in(problem: SnapshotProblem) -> np.ndarray:
 
 def strict_repair(
     problem: SnapshotProblem,
-    admitted0: np.ndarray,
     scalars: SolverScalars,
 ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Violation-driven drops to feasibility, then ascending-difficulty
-    add-backs that must preserve full feasibility.
+    """Violation-driven drops to feasibility from `scalars.start`, then
+    ascending-difficulty add-backs that must preserve full feasibility.
 
     Only the users `_screened_in` keeps take part; `stats["screened"]`
     counts the certified users it removes.  The drop metric is
@@ -470,21 +395,20 @@ def strict_repair(
     shortfall per unit of required power, ties to the lowest index.
     Terminates within K drops.  The add-back pool is every
     screened-in user outside the admitted set, scanned in ascending pi_k
-    until a full pass adds no one.  One pass is one stacked solve of all
-    its trials (the admitted set plus one candidate each); the first
-    feasible trial in scan order is accepted, and `dual_evals` counts
-    the trials up to and including it, as a trial-by-trial scan would.
-    The first pass after a drop does not solve the trial of the last
-    dropped user: that is the set the drop loop last solved and found
-    infeasible, and its evaluations are counted again.
+    until a full pass adds no one.  Each trial solves the admitted set plus
+    one candidate; the first feasible trial is accepted and restarts the
+    scan.  The first pass after a drop skips the last dropped user without
+    a solve: its trial is the set the drop loop last solved and found
+    infeasible.  `dual_evals` counts the power evaluations of the solves
+    that run.
     """
     K = problem.num_users
     pool = _screened_in(problem)
-    admitted = np.asarray(admitted0, dtype=bool) & pool
+    admitted = scalars.start & pool
     stats = {"drops": 0, "addbacks": 0, "dual_evals": 0,
              "screened": int(np.count_nonzero(problem.certified & ~pool))}
     D = np.zeros((problem.h_eff.shape[1], K), dtype=complex)
-    dropped, dropped_ev = -1, 0
+    dropped = -1
     for _ in range(K + 1):
         if not admitted.any():
             D = np.zeros_like(D)
@@ -496,7 +420,7 @@ def strict_repair(
         if not gaps.any():
             break
         metric = np.where(admitted, gaps / (scalars.pi + EPS_PI), -np.inf)
-        dropped, dropped_ev = int(np.argmax(metric)), n_ev
+        dropped = int(np.argmax(metric))
         admitted[dropped] = False
         stats["drops"] += 1
     else:
@@ -506,26 +430,20 @@ def strict_repair(
     # accepted user restarts the scan, a scan that accepts no one ends it
     order = np.lexsort((np.arange(K), scalars.pi))
     while True:
-        cand = order[pool[order] & ~admitted[order]]
-        if not cand.size:
+        for k in order[pool[order] & ~admitted[order]]:
+            if k == dropped:  # the last drop's trial is known infeasible
+                continue
+            trial = admitted.copy()
+            trial[k] = True
+            D_t, rates_t, n_ev = _solve_projected(problem, trial, scalars)
+            stats["dual_evals"] += n_ev
+            if _feasible(problem, trial, rates_t):
+                admitted, D = trial, D_t
+                stats["addbacks"] += 1
+                break
+        else:
             return admitted, D, stats
-        solved = cand != dropped  # the last drop's trial is known infeasible
         dropped = -1
-        trials = np.repeat(admitted[None], np.count_nonzero(solved), axis=0)
-        trials[np.arange(len(trials)), cand[solved]] = True
-        n_ev = np.full(cand.size, dropped_ev)
-        fits = np.zeros(cand.size, dtype=bool)
-        if len(trials):
-            D_t, rates_t, n_ev[solved] = _solve_projected(problem, trials, scalars)
-            fits[solved] = _feasible(problem, trials, rates_t)
-        fits = np.flatnonzero(fits)
-        stop = fits[0] + 1 if fits.size else cand.size
-        stats["dual_evals"] += int(n_ev[:stop].sum())
-        if not fits.size:
-            return admitted, D, stats
-        t = np.count_nonzero(solved[: fits[0]])
-        admitted, D = trials[t], D_t[t].copy()
-        stats["addbacks"] += 1
 
 
 def refine_qos_safe(
@@ -569,7 +487,7 @@ def solve_snapshot(
 ) -> BeamSolution:
     """Full per-slot solve: predict, repair from the start set, refine, verify."""
     scalars = predict_admission_and_scalars(problem, k_min, priority, seed)
-    admitted, D, stats = strict_repair(problem, scalars.start, scalars)
+    admitted, D, stats = strict_repair(problem, scalars)
     D, ref_stats = refine_qos_safe(problem, admitted, D, scalars)
     stats.update(ref_stats)
     sinr, rates = _rates(problem, D)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -246,3 +248,12 @@ class TestStacks:
         R[3] = np.diag([1.0, 1.0, -1.0])  # orthogonal but a reflection
         with pytest.raises(ValueError, match="proper rotation"):
             ensure_rotation(R)
+        # a comparison with NaN is False, so a non-finite entry must be
+        # rejected before the tolerance tests, and before det warns on it
+        for bad in (np.nan, np.inf, -np.inf):
+            for S in (R[0].copy(), euler_to_rotation(EulerZYX(*self.angles(5).T))):
+                S[..., 1, 2] = bad
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    with pytest.raises(ValueError, match="finite"):
+                        ensure_rotation(S)

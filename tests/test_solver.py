@@ -20,6 +20,7 @@ from hapbeam.harness import place_users
 from hapbeam.errors import ConfigError, InvariantError
 from hapbeam.solver import (
     ADMISSION_PRIORITIES,
+    EPS_P,
     REG_REL,
     BeamSolution,
     SnapshotProblem,
@@ -382,6 +383,20 @@ class TestBisection:
             else:
                 assert (1 - 1e-9) * p_max <= transmit_power(prob, Dp) <= p_max
 
+    def test_projection_shrink_steps(self):
+        # at a large budget the scale sqrt(P_max / p) can round to a D that
+        # still measures over budget, and the projection shrinks it further
+        rng = np.random.default_rng(5)
+        prob = SnapshotProblem.build(np.eye(4, dtype=complex), r_min=1.0, p_max=1e6,
+                                     noise_power=1.0)
+        shrunk = 0
+        for D in _crandn(rng, 7, 4, 4):
+            D *= np.sqrt(2 * prob.p_max / transmit_power(prob, D))
+            assert transmit_power(prob, project_power(prob, D)) <= prob.p_max
+            scale = np.sqrt(prob.p_max / (transmit_power(prob, D) + EPS_P))
+            shrunk += transmit_power(prob, D * scale) > prob.p_max
+        assert 0 < shrunk < 7
+
 
 class TestDualPower:
     """The dual search reads power from the eigenbasis and builds D once."""
@@ -440,6 +455,57 @@ class TestDualPower:
             nu, D, n_ev = power_dual_bisection(prob, mask, sc)
         assert (nu, n_ev) == (0.0, 1)
         assert D.shape == (prob.h_eff.shape[1], prob.num_users) and not D.any()
+
+    @pytest.mark.parametrize("T", [1, 2, 4, 7])
+    def test_exact_zero_terms_and_zero_trace(self, T):
+        # T single-user sets on an identity Gram.  The first T - 1 channel
+        # rows are scaled basis vectors: each C is diagonal, so its
+        # eigenvectors are exact and all but one secular term is exactly
+        # zero.  The last row is zero, so its set takes the trace <= 0 branch
+        n_rf = T + 2
+        H = np.zeros((T, n_rf), complex)
+        H[np.arange(T - 1), np.arange(T - 1)] = np.linspace(0.5, 2.0, T - 1) * np.exp(0.3j)
+        prob = SnapshotProblem.build(H, r_min=0.5, p_max=2.0, noise_power=0.1)
+        sc = predict_admission_and_scalars(prob, k_min=T)
+        for mask in np.eye(T, dtype=bool)[:-1]:
+            eig = kkt_decompose(prob, mask, sc)
+            c = (eig[3] * eig[3].conj()).real.sum(axis=-1)
+            assert np.count_nonzero(c == 0.0) == n_rf - 1
+            assert len(solver._secular_terms(eig)[0]) == 1
+        zero = np.eye(T, dtype=bool)[-1]
+        eig = kkt_decompose(prob, zero, sc)
+        assert eig[0].size == 0 and not eig[3].any()
+        assert len(solver._secular_terms(eig)[0]) == 0
+        nu, D, n_ev = power_dual_bisection(prob, zero, sc)
+        assert (nu, n_ev) == (0.0, 1)
+        assert D.shape == (n_rf, T) and not D.any()
+
+
+def _recorded_solves(monkeypatch):
+    """Record each `_solve_projected` call's mask and dual evaluations."""
+    solves = []
+    solve = solver._solve_projected
+
+    def recording(problem, admitted, scalars):
+        D, rates, n_ev = solve(problem, admitted, scalars)
+        solves.append((tuple(np.flatnonzero(admitted)), n_ev))
+        return D, rates, n_ev
+
+    monkeypatch.setattr(solver, "_solve_projected", recording)
+    return solves
+
+
+def _repair_from(prob, start, monkeypatch):
+    """strict_repair from a given start set, with its recorded solves; the
+    repaired beamformer is checked feasible."""
+    sc = replace(predict_admission_and_scalars(prob, k_min=1), start=start)
+    solves = _recorded_solves(monkeypatch)
+    admitted, D, stats = strict_repair(prob, sc)
+    _, rates = sinr_and_rates(prob.h_eff, D, prob.noise_power, prob.bandwidth)
+    assert transmit_power(prob, D) <= prob.p_max
+    assert np.all(rates[admitted] >= prob.r_min[admitted])
+    assert not D[:, ~admitted].any()
+    return admitted, D, stats, solves
 
 
 class TestRepairAndSolve:
@@ -505,33 +571,104 @@ class TestRepairAndSolve:
     def test_addback_rescans_after_each_accepted_user(self, monkeypatch):
         # scripted solves on 4 users ranked 0, 1, 2 by pi with user 3 admitted:
         # {0, 3} and any set holding user 2 miss their floors, the rest clear
-        # each add-back pass is one stacked solve of all its trials
         prob = SnapshotProblem.build(np.eye(4, dtype=complex), r_min=1.0,
                                      p_max=1.0, noise_power=1.0)
-        passes = []
+        trials = []
 
         def scripted(problem, mask, scalars):
-            masks = np.atleast_2d(mask)
-            users = [tuple(np.flatnonzero(m)) for m in masks]
-            passes.append(users)
-            ok = np.array([u != (0, 3) and not m[2] for u, m in zip(users, masks)])
-            D, rates = np.zeros((len(masks), 4, 4), complex), prob.r_min * ok[:, None]
-            if mask.ndim == 1:
-                return D[0], rates[0], 1
-            return D, rates, np.ones(len(masks), int)
+            users = tuple(np.flatnonzero(mask))
+            trials.append(users)
+            ok = users != (0, 3) and not mask[2]
+            return np.zeros((4, 4), complex), prob.r_min * ok, 1
 
         monkeypatch.setattr(solver, "_solve_projected", scripted)
-        sc = SolverScalars(np.zeros(4, bool), np.zeros(4, complex), np.ones(4),
-                           np.array([0.1, 0.2, 0.3, 0.0]))
-        admitted, _, stats = strict_repair(prob, np.array([0, 0, 0, 1], bool), sc)
+        sc = SolverScalars(np.array([0, 0, 0, 1], bool), np.zeros(4, complex),
+                           np.ones(4), np.array([0.1, 0.2, 0.3, 0.0]))
+        admitted, _, stats = strict_repair(prob, sc)
         assert admitted.tolist() == [True, True, False, True]
         assert stats["addbacks"] == 2 and stats["drops"] == 0
-        # evaluations count the trials up to each accepted one, as a
-        # trial-by-trial scan solves them: 1 + 2 + 1 + 1
+        # one evaluation per solve
         assert stats["dual_evals"] == 5
         # the scan restarts at the first-ranked user after each acceptance
-        assert passes == [[(3,)], [(0, 3), (1, 3), (2, 3)], [(0, 1, 3), (1, 2, 3)],
-                          [(0, 1, 2, 3)]]
+        assert trials == [(3,), (0, 3), (1, 3), (0, 1, 3), (0, 1, 2, 3)]
+
+    def test_scan_skips_the_last_dropped_trial(self, monkeypatch):
+        # after a drop the set admitted + {last dropped} is the one the drop
+        # loop just found infeasible, so the scan never solves it again
+        solves = _recorded_solves(monkeypatch)
+        skipped = 0
+        for seed in range(200):
+            prob = test_acceptance._fuzz_snapshot(seed)
+            solves.clear()
+            _, _, stats = strict_repair(prob, predict_admission_and_scalars(prob))
+            assert stats["dual_evals"] == sum(n_ev for _, n_ev in solves)
+            drops = stats["drops"]
+            if not drops:
+                continue
+            last_infeasible = solves[drops - 1][0]
+            assert [mask for mask, _ in solves].count(last_infeasible) == 1
+            # a repair that drops and adds no one scanned every candidate
+            skipped += stats["addbacks"] == 0
+        assert skipped > 10
+
+    def test_single_candidate_pass(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        H = np.eye(3, dtype=complex) + 0.1 * _crandn(rng, 3, 3)
+        prob = SnapshotProblem.build(H, r_min=[0.5, 0.6, 0.7], p_max=3.0, noise_power=0.1)
+        solves = _recorded_solves(monkeypatch)
+        sol = solve_snapshot(prob, k_min=2)
+        TestEdgeCases.assert_solution_ok(prob, sol)
+        assert sol.admitted.all() and sol.stats["drops"] == 0
+        # the start set, then its one candidate's trial, then refinement
+        assert [mask for mask, _ in solves[:2]] == [(0, 1), (0, 1, 2)]
+        assert sol.stats["addbacks"] == 1
+
+    def test_empty_admitted_set_after_drops(self, monkeypatch):
+        # the strongest user is admitted alone and misses its floor, which
+        # lies between the rate its solve reaches alone (9.759 bit) and the
+        # screen's full-power bound (9.764 bit)
+        rng = np.random.default_rng(8)
+        H = _crandn(rng, 4, 4)
+        H[0] *= 3
+        prob = SnapshotProblem.build(H, r_min=[9.762, 0.5, 0.8, 1.0], p_max=2.0,
+                                     noise_power=0.1)
+        admitted, _, stats, solves = _repair_from(prob, np.eye(4, dtype=bool)[0],
+                                                  monkeypatch)
+        assert stats["drops"] == 1 and stats["screened"] == 0
+        # the drop loop solved user 0 alone, and no add-back trial holds it
+        assert [mask for mask, _ in solves].count((0,)) == 1
+        assert admitted.tolist() == [False, True, True, True]
+
+    @pytest.mark.parametrize("r_min", [0.0, 0.5])
+    def test_zero_channel_candidate(self, monkeypatch, r_min):
+        # after the drop (user 0's floor lies between its rate alone, 10.058
+        # bit, and the screen's bound, 10.064 bit) the scan tries single
+        # users; one has an all-zero row, which the screen keeps for a zero
+        # floor only: its trial takes the trace <= 0 branch and has zero
+        # rates, which fit that floor
+        rng = np.random.default_rng(9)
+        H = _crandn(rng, 5, 4)
+        H[0] *= 3
+        H[3] = 0.0
+        prob = SnapshotProblem.build(H, r_min=[10.06, 0.5, 0.8, r_min, 1.0], p_max=2.0,
+                                     noise_power=0.1)
+        decomposed = []
+        decompose = solver.kkt_decompose
+
+        def recording(problem, admitted, scalars):
+            eig = decompose(problem, admitted, scalars)
+            decomposed.append((tuple(np.flatnonzero(admitted)), tuple(eig[0])))
+            return eig
+
+        monkeypatch.setattr(solver, "kkt_decompose", recording)
+        admitted, D, stats, _ = _repair_from(prob, np.eye(5, dtype=bool)[0], monkeypatch)
+        assert stats["drops"] == 1 and stats["screened"] == (r_min > 0.0)
+        assert admitted[3] == (r_min == 0.0)
+        assert not D[:, 3].any()
+        if r_min == 0.0:  # the zero row's trial keeps no users
+            assert ((3,), ()) in decomposed
+        else:
+            assert all(3 not in mask for mask, _ in decomposed)
 
     def test_power_on_a_non_admitted_column_is_rejected(self, monkeypatch):
         prob = SnapshotProblem.build(np.array([[1.0, 0.2], [0.98, 0.21]], complex),
