@@ -19,7 +19,6 @@ from .forecast import ForecastRequest, forecast_errors
 from .harness import (
     LOCAL_FORECASTERS,
     CalibrationSpec,
-    ForecastSpec,
     HorizonSpec,
     ScenarioConfig,
     SeedSpec,
@@ -50,16 +49,19 @@ def _check_flags(flags: str, build_spec) -> None:
 
 def _issue_all(args):
     """Load the telemetry and issue a local forecast at every stride-th
-    origin.  The window arguments are checked as a forecast-mode scenario
-    config checks them, so a bad value exits 2 before any forecasting."""
+    origin.  The window arguments are checked as a scenario's horizon
+    section checks them, and the AR order as forecast_ar checks it, so a bad
+    value exits 2 before any forecasting."""
+
+    def check_window():
+        HorizonSpec(l_win=args.l_win, h_pred=args.h_pred, delay=args.delay)
+        if args.order < 1 or args.forecaster == "ar" and args.l_win < 4 * args.order:
+            raise ConfigError("the AR order must be >= 1 and at most l_win / 4")
+
     _check_flags(
         f"--forecaster {args.forecaster} --order {args.order} --l-win {args.l_win} "
         f"--h-pred {args.h_pred} --delay {args.delay}",
-        lambda: ScenarioConfig(
-            horizon=HorizonSpec(l_win=args.l_win, h_pred=args.h_pred, delay=args.delay),
-            forecaster=ForecastSpec(kind=args.forecaster, order=args.order),
-            compensation="forecast",
-        ),
+        check_window,
     )
     if args.stride < 1:
         raise ConfigError(f"--stride must be >= 1, got {args.stride}")
@@ -185,9 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_gen_telemetry)
 
-    # a telemetry file has no training split to fit the direct kind on, so
-    # these subcommands keep the per-window AR baseline
-    horizon, fc = HorizonSpec(), ForecastSpec(kind="ar", order=24)
+    # a telemetry file has no training split to fit the direct forecaster
+    # on, so these subcommands keep the per-window AR(24) baseline
+    horizon = HorizonSpec()
     for name, fn in (("forecast-eval", cmd_forecast_eval), ("calibrate", cmd_calibrate)):
         p = sub.add_parser(
             name,
@@ -198,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
             ),
         )
         p.add_argument("--telemetry", required=True)
-        p.add_argument("--forecaster", choices=LOCAL_FORECASTERS, default=fc.kind)
-        p.add_argument("--order", type=int, default=fc.order)
+        p.add_argument("--forecaster", choices=LOCAL_FORECASTERS, default="ar")
+        p.add_argument("--order", type=int, default=24)
         p.add_argument("--l-win", type=int, default=horizon.l_win)
         p.add_argument("--h-pred", type=int, default=horizon.h_pred)
         p.add_argument("--delay", type=int, default=horizon.delay)

@@ -194,7 +194,7 @@ DIRECT_RIDGE = 1e-6  # ridge on the normal equations of the centred direct desig
 def _lag_features(z: np.ndarray, origins: np.ndarray, order: int) -> np.ndarray:
     """Feature rows, one per origin t: channels z[t], z[t-1], .., z[t-order+1]
     (newest first), then an intercept."""
-    lags = z[origins[:, None] - np.arange(order)].reshape(len(origins), -1)
+    lags = z[origins[:, None] - np.arange(order)].reshape(len(origins), order * z.shape[1])
     return np.column_stack([lags, np.ones(len(origins))])
 
 
@@ -220,7 +220,7 @@ class DirectForecaster:
                     f"needs l_win >= {self.order}; got h_pred={r.h_pred}, l_win={r.l_win}"
                 )
             _window(series, r)  # the look-back must lie inside the series
-        origins = np.array([r.origin for r in reqs])
+        origins = np.array([r.origin for r in reqs], dtype=int)
         X = _lag_features(_channels(series.samples), origins, self.order)
         # (n, 1, F) @ W is one row product per origin, as the unbatched x @ W
         y = (X[:, None, :] @ self.weights).reshape(len(reqs), self.h_pred, 4)
@@ -282,7 +282,8 @@ def paired_windows(
     series: AttitudeSeries, outputs: list[ForecastOutput], d: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The outputs' angles and the realized samples they forecast, both
-    (n, H_pred, 3); truth must cover every full horizon, and 0 <= d < H_pred."""
+    (n, H_pred, 3); every origin must lie in the series and its truth cover
+    every full horizon, and 0 <= d < H_pred."""
     if not outputs:
         raise DataError("no forecast outputs to evaluate")
     h_pred = outputs[0].angles.shape[0]
@@ -291,6 +292,8 @@ def paired_windows(
     if not 0 <= d < h_pred:
         raise ValueError(f"decision delay d={d} must satisfy 0 <= d < H_pred={h_pred}")
     origins = np.array([o.origin for o in outputs])
+    if np.any(origins < 0):
+        raise DataError(f"origin {origins[origins < 0][0]} lies before the series")
     late = origins + h_pred >= len(series)
     if np.any(late):
         raise DataError(f"origin {origins[late][0]}: truth does not cover horizon {h_pred}")

@@ -60,11 +60,10 @@ CHANNEL_PRESETS = {
 }
 USER_LAYOUTS = ("uniform", "clustered", "edge-biased")
 COMPENSATION_MODES = ("none", "reactive", "forecast", "ideal")
-LOCAL_FORECASTERS = ("persistence", "linear", "ar")
-# direct is fitted once per run on the training split, external is replayed
-FORECASTER_KINDS = LOCAL_FORECASTERS + ("direct", "external")
+LOCAL_FORECASTERS = ("persistence", "linear", "ar")  # the CLI's per-window baselines
 
 TRAIN_FRAC = 0.7
+DIRECT_ORDER = 48  # lags per channel of the direct forecaster
 VAL_FRAC = 0.1
 BLOCK = 8  # snapshots per (S, M, K) stage pass: a run-long stack costs tens of MiB
 
@@ -226,20 +225,12 @@ class HorizonSpec:
 
 @dataclass(frozen=True)
 class ForecastSpec:
-    kind: str = "direct"
-    order: int = 48  # AR order, or lags per channel for the direct kind
-    path: str = ""  # external replay CSV
+    # forecast CSV the forecast mode replays; empty, the mode fits the direct
+    # forecaster on the training split
+    path: str = ""
 
     def __post_init__(self):
         _check_types(self, "forecaster")
-        if self.kind not in FORECASTER_KINDS:
-            raise ConfigError(
-                f"forecaster.kind must be one of {FORECASTER_KINDS}, got {self.kind!r}"
-            )
-        if self.kind == "external" and not self.path:
-            raise ConfigError("forecaster.path required for the external kind")
-        if self.order < 1:
-            raise ConfigError(f"forecaster.order must be >= 1, got {self.order}")
 
 
 @dataclass(frozen=True)
@@ -310,13 +301,12 @@ class ScenarioConfig:
             )
         if self.snapshots < 1:
             raise ConfigError("snapshots must be >= 1")
-        # only the forecast mode runs the configured forecaster
-        horizon, fc = self.horizon, self.forecaster
-        model = {"ar": "AR", "direct": "direct"}.get(fc.kind)
-        if self.compensation == "forecast" and model and horizon.l_win < 4 * fc.order:
+        # only the forecast mode fits the direct forecaster, when it replays no file
+        fits_direct = self.compensation == "forecast" and not self.forecaster.path
+        if fits_direct and self.horizon.l_win < 4 * DIRECT_ORDER:
             raise ConfigError(
-                f"horizon.l_win {horizon.l_win} too short for {model} order "
-                f"{fc.order}; need l_win >= 4 * order"
+                f"horizon.l_win {self.horizon.l_win} too short for direct order "
+                f"{DIRECT_ORDER}; need l_win >= 4 * order"
             )
 
     @classmethod
@@ -408,7 +398,8 @@ def place_users(layout: str, count: int, radius: float, seed: int) -> np.ndarray
 
 def forecaster(kind: str, order: int):
     """Local forecaster of one of the LOCAL_FORECASTERS kinds, as a
-    function of (series, request); `order` applies to the AR kind."""
+    function of (series, request); `order` applies to the AR kind.  Only the
+    CLI issues these: a scenario replays their forecasts from a file."""
     if kind == "persistence":
         return forecast_persistence
     if kind == "linear":
@@ -431,8 +422,8 @@ def oracle_estimate(series: AttitudeSeries, req: ForecastRequest) -> ForecastOut
     return ForecastOutput(req.origin, series.samples[lo:hi], "oracle")
 
 
-# the estimate each mode steers by; only the forecast mode runs the configured
-# forecaster or reads its external replay file
+# the estimate each mode steers by; only the forecast mode fits the direct
+# forecaster or reads the replay file
 MODE_SOURCES = {
     "none": level_estimate, "reactive": forecast_persistence, "ideal": oracle_estimate,
 }
@@ -440,17 +431,16 @@ MODE_SOURCES = {
 
 def required_series_length(config: ScenarioConfig) -> int:
     """Shortest series whose 70/10/20 split holds the calibration windows,
-    the warmup history, every evaluation snapshot and, for a direct
-    forecaster, twice as many training fit rows as the fit has unknowns."""
+    the warmup history, every evaluation snapshot and, for the direct fit
+    of the forecast mode, twice as many training fit rows as it has unknowns."""
     hz = config.horizon
     need_test = config.snapshots + hz.delay + hz.h_pred + 2
     need_train = int(np.ceil((hz.l_win + hz.h_pred + 2) / TRAIN_FRAC)) + 10
     need_val = int(np.ceil((hz.h_pred + 6) / VAL_FRAC))
-    fc = config.forecaster
     need_fit = 0
-    if config.compensation == "forecast" and fc.kind == "direct":
+    if config.compensation == "forecast" and not config.forecaster.path:
         # two fit rows per unknown; the +1 absorbs the rounding of int(0.7 * n)
-        fit_end = 2 * (4 * fc.order + 1) + hz.h_pred + fc.order - 1
+        fit_end = 2 * (4 * DIRECT_ORDER + 1) + hz.h_pred + DIRECT_ORDER - 1
         need_fit = int(np.ceil(fit_end / TRAIN_FRAC)) + 1
     return max(int(np.ceil(need_test / (1.0 - TRAIN_FRAC - VAL_FRAC))),
                need_train, need_val, need_fit)
@@ -500,15 +490,13 @@ def run_experiment(config: ScenarioConfig) -> RunResult:
     cfg = config.array.build(n_rf=K)
     mounting = config.hap.mounting
 
-    fc = config.forecaster
+    path = config.forecaster.path
     if config.compensation in MODE_SOURCES:
         source = MODE_SOURCES[config.compensation]
-    elif fc.kind == "direct":
-        source = fit_direct(series, t_train_end, fc.order, hz.h_pred)
-    elif fc.kind != "external":
-        source = forecaster(fc.kind, fc.order)
+    elif not path:
+        source = fit_direct(series, t_train_end, DIRECT_ORDER, hz.h_pred)
     else:
-        replay = load_forecast_csv(fc.path)  # never empty
+        replay = load_forecast_csv(path)  # never empty
         if len(next(iter(replay.values())).angles) < hz.h_pred:
             raise ConfigError("external forecasts are shorter than the configured horizon")
 

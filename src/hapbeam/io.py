@@ -159,15 +159,16 @@ def save_forecast_csv(path, outputs: list[ForecastOutput]) -> None:
 def load_forecast_csv(path) -> dict[int, ForecastOutput]:
     """Load externally produced forecasts.
 
-    Requires contiguous horizons 1..H per origin and one consistent
-    horizon count across origins.  Yaw is wrapped on load.
+    Requires origin slots >= 0, contiguous horizons 1..H per origin and
+    one consistent horizon count across origins.  Yaw is wrapped on load.
     """
     rows: dict[int, dict[int, list]] = {}
     for n, (origin, horizon, *angles) in _read_table(path, FORECAST_HEADER):
-        if horizon < 1:
-            raise ParseError(
-                f"{path}: row {n}, column horizon: must be >= 1, got {horizon}"
-            )
+        for column, value, least in (("origin_slot", origin, 0), ("horizon", horizon, 1)):
+            if value < least:
+                raise ParseError(
+                    f"{path}: row {n}, column {column}: must be >= {least}, got {value}"
+                )
         per = rows.setdefault(origin, {})
         if horizon in per:
             raise ParseError(

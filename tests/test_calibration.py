@@ -58,6 +58,14 @@ class TestResiduals:
         with pytest.raises(DataError):
             window_residuals(short, out, 2)
 
+    def test_negative_origin_rejected(self):
+        # a forecast equal to the rows a negative origin wraps to would score 0
+        rng = np.random.default_rng(8)
+        series = AttitudeSeries.build(0.1, rng.normal(0, 0.05, (20, 3)))
+        out = ForecastOutput(-5, series.samples[np.arange(-4, 8)], "x")
+        with pytest.raises(DataError, match="origin -5"):
+            calibrate(series, [out], 2, 0.1)
+
     def test_score_is_max_norm(self):
         res = np.array([[0.01, 0, 0], [0, 0.03, 0.04], [0, 0, 0.02]])
         assert target_window_max(res) == pytest.approx(0.05)

@@ -291,6 +291,10 @@ class TestDirect:
         with pytest.raises(DataError):
             f(s, [req(500), req(600)])
 
+    def test_empty_request_list(self):
+        s = self.noisy_series()
+        assert fit_direct(s, self.TRAIN_END, 24, 12)(s, []) == []
+
     def test_training_split_too_short(self):
         s = self.noisy_series()
         with pytest.raises(DataError, match="holds no fit row"):
@@ -355,6 +359,13 @@ class TestForecastCsv:
         rows = [f"1,{h},0,0,0" for h in (1, 2)] + ["2,1,0,0,0"]
         p.write_text(head + "\n" + "\n".join(rows) + "\n")
         with pytest.raises(ParseError, match="inconsistent"):
+            load_forecast_csv(p)
+
+    def test_negative_origin_names_row_and_column(self, tmp_path):
+        p = tmp_path / "f.csv"
+        head = ",".join(FORECAST_HEADER)
+        p.write_text(f"{head}\n3,1,0,0,0\n-1,1,0,0,0\n")
+        with pytest.raises(ParseError, match="row 3, column origin_slot: must be >= 0"):
             load_forecast_csv(p)
 
     def test_duplicate_horizon(self, tmp_path):
@@ -428,3 +439,10 @@ class TestErrorReport:
         s = series_from([np.zeros(20), np.zeros(20), np.zeros(20)])
         with pytest.raises(DataError):
             forecast_errors(s, [ForecastOutput(10, np.zeros((12, 3)), "x")], d=6)
+
+    def test_negative_origin_rejected(self):
+        # its truth rows would be indexed from the end of the series
+        s = series_from([np.zeros(20), np.zeros(20), np.zeros(20)])
+        outs = [ForecastOutput(t, np.zeros((12, 3)), "x") for t in (0, -1)]
+        with pytest.raises(DataError, match="origin -1 lies before the series"):
+            fc.paired_windows(s, outs, d=6)

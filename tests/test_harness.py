@@ -3,7 +3,6 @@ import json
 import re
 import tracemalloc
 from dataclasses import MISSING, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,7 +74,6 @@ FAST = {
     "snapshots": 20,
     "users": {"count": 4},
     "array": {"m_x": 8, "m_y": 8},
-    "forecaster": {"kind": "ar", "order": 12},
 }
 
 
@@ -130,6 +128,8 @@ class TestScenarioConfig:
             {"calibration": {"box_halfwidth_deg": 3.0}},  # the delta_omega cap replaced it
             {"admission": {"objective": "ee"}},  # refinement raises the sum-rate only
             {"admission": {"priority": "channel-gain"}},  # it ranked as qos-difficulty
+            {"forecaster": {"kind": "ar"}},  # the CLI's baselines come in by replay
+            {"forecaster": {"order": 24}},  # the direct order is DIRECT_ORDER
         ],
     )
     def test_invalid_values(self, raw):
@@ -143,11 +143,9 @@ class TestScenarioConfig:
             lambda: ChannelSpec(preset="rayleigh"),
             lambda: replace(ScenarioConfig(), compensation="psychic"),
             lambda: replace(AdmissionSpec(), priority="alphabetical"),
-            lambda: ForecastSpec(kind="lstm"),
             lambda: HorizonSpec(delay=12, h_pred=12),
             lambda: replace(CalibrationSpec(), rho=1.5),
             lambda: replace(ScenarioConfig(), snapshots=0),
-            lambda: ForecastSpec(order=0),
             lambda: replace(ScenarioConfig(), horizon=HorizonSpec(l_win=50)),
             lambda: PlatformSpec(mounting_deg=(0.0, 90.0)),
             lambda: ChannelSpec(noise_power_w=0.0),
@@ -159,12 +157,13 @@ class TestScenarioConfig:
             lambda: QosSpec(p_max_w=10**400),
             lambda: PlatformSpec(mounting_deg=(0.0, 10**400, 0.0)),
             lambda: AdmissionSpec(priority="channel-gain"),
+            lambda: ForecastSpec(path=3),
         ],
         ids=[
-            "layout", "preset", "compensation", "priority", "kind", "delay",
-            "rho", "snapshots", "order", "l_win", "mounting", "noise_power",
+            "layout", "preset", "compensation", "priority", "delay",
+            "rho", "snapshots", "l_win", "mounting", "noise_power",
             "altitude", "p_max", "k_min", "array", "count_type",
-            "p_max_huge_int", "mounting_huge_int", "channel_gain",
+            "p_max_huge_int", "mounting_huge_int", "channel_gain", "path",
         ],
     )
     def test_invalid_values_built_directly(self, build):
@@ -220,9 +219,14 @@ class TestScenarioConfig:
         with pytest.raises(ConfigError, match="'users' must be a mapping"):
             ScenarioConfig.from_dict({"users": 4})
 
-    def test_external_kind_requires_path(self):
-        with pytest.raises(ConfigError):
-            ScenarioConfig.from_dict({"forecaster": {"kind": "external"}})
+    def test_replay_lifts_the_direct_window_rule(self):
+        # a replayed forecast needs no look-back, so only the direct fit
+        # checks l_win >= 4 * DIRECT_ORDER
+        short = {"horizon": {"l_win": 48}}
+        with pytest.raises(ConfigError, match="too short for direct order 48"):
+            ScenarioConfig.from_dict(short)
+        cfg = ScenarioConfig.from_dict({**short, "forecaster": {"path": "forecasts.csv"}})
+        assert cfg.forecaster.path == "forecasts.csv"
 
 
 class TestAttitudeProcess:
@@ -288,7 +292,8 @@ class TestEstimateSources:
         return AttitudeSeries.build(0.1, t * np.asarray(slope)[None, :] * 0.1)
 
     def source(self, mode):
-        # the forecast mode steers by the configured forecaster, here AR(2)
+        # a 40-sample ramp is too short to fit the direct forecaster, so
+        # AR(2) stands in for the forecast mode's source
         return MODE_SOURCES.get(mode) or harness.forecaster("ar", 2)
 
     def beam(self, source, s, slot, d=6):
@@ -321,9 +326,7 @@ class TestEstimateSources:
         req = ForecastRequest(origin=22, l_win=8, h_pred=12, d=6)
         path = tmp_path / "forecasts.csv"
         save_forecast_csv(path, [forecast_ar(s, req, order=2)])
-        cfg = ScenarioConfig.from_dict(
-            {**FAST, "forecaster": {"kind": "external", "path": str(path)}}
-        )
+        cfg = ScenarioConfig.from_dict({**FAST, "forecaster": {"path": str(path)}})
         with pytest.raises(UncoveredSlotError, match="external replay misses origin"):
             run_experiment(cfg)
 
@@ -414,7 +417,6 @@ class TestRunExperiment:
             "compensation": "ideal",
             "channel": {"preset": "pure-los"},
             "qos": {"r_min": 1.0, "p_max_w": 200.0},
-            "forecaster": {"kind": "ar", "order": 12},
         }
         res = run_experiment(ScenarioConfig.from_dict(raw))
         assert np.all(res.snapshots["QAR"] == 1.0)
@@ -431,11 +433,13 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("mode", ["none", "reactive", "ideal"])
     def test_fixed_modes_never_call_the_forecaster(self, monkeypatch, mode):
+        # a replay file in the config is read only by the forecast mode
         def refuse(*args, **kwargs):
-            raise AssertionError("configured forecaster called")
+            raise AssertionError("replay file read")
 
-        monkeypatch.setattr(harness, "forecast_ar", refuse)
-        raw = {**FAST, "snapshots": 5, "compensation": mode}
+        monkeypatch.setattr(harness, "load_forecast_csv", refuse)
+        raw = {**FAST, "snapshots": 5, "compensation": mode,
+               "forecaster": {"path": "forecasts.csv"}}
         res = run_experiment(ScenarioConfig.from_dict(raw))
         assert len(res.snapshots["snapshot"]) == 5
 
@@ -447,38 +451,6 @@ class TestRunExperiment:
         assert a.aggregates["mean_sum_rate"] > b.aggregates["mean_sum_rate"]
         assert b.aggregates["mean_max_pointing_err_deg"] > 1.0
         assert a.aggregates["mean_max_pointing_err_deg"] == 0.0
-
-    def test_external_replay_matches_internal(self, tmp_path):
-        cfg = ScenarioConfig.from_dict(dict(FAST))
-        internal = run_experiment(cfg)
-        emit_results(internal, tmp_path / "internal")
-        # reproduce every forecast the run issued and replay it from disk, once
-        # with h_pred horizons and once with more: only h_pred of them count
-        length = required_series_length(cfg)
-        series = generate_attitude_series(cfg.seeds.attitude, length, cfg.horizon.dt_s)
-        t_tr = int(TRAIN_FRAC * length)
-        t_val = int((TRAIN_FRAC + VAL_FRAC) * length)
-        hz = cfg.horizon
-        fn = partial(forecast_ar, order=cfg.forecaster.order)
-        origins = list(range(t_tr, t_val - hz.h_pred)) + [
-            int(s) - hz.delay - 1 for s in internal.eval_slots
-        ]
-        for h_saved in (hz.h_pred, hz.h_pred + 6):
-            outs = [
-                fn(series, ForecastRequest(t, hz.l_win, h_saved, hz.delay))
-                for t in origins
-            ]
-            path = tmp_path / f"forecasts{h_saved}.csv"
-            save_forecast_csv(path, outs)
-            ext = run_experiment(
-                ScenarioConfig.from_dict(
-                    {**FAST, "forecaster": {"kind": "external", "path": str(path)}}
-                )
-            )
-            emit_results(ext, tmp_path / f"external{h_saved}")
-            for name in ("snapshots.csv", "summary.json", "calibration.txt"):
-                got = (tmp_path / f"external{h_saved}" / name).read_bytes()
-                assert got == (tmp_path / "internal" / name).read_bytes(), (h_saved, name)
 
     def test_qos_floor_is_per_hertz(self):
         # r_min is spectral efficiency: a wider band scales every rate and its
@@ -526,7 +498,7 @@ def reference_columns(config: ScenarioConfig):
     cfg = config.array.build(n_rf=K)
     mounting = config.hap.mounting
     source = MODE_SOURCES.get(config.compensation) or fit_direct(
-        series, t_train_end, config.forecaster.order, hz.h_pred
+        series, t_train_end, harness.DIRECT_ORDER, hz.h_pred
     )
 
     def issue(t):
@@ -647,7 +619,9 @@ class TestDirectForecaster:
     on the training split."""
 
     def test_default_is_direct48(self):
-        assert (ForecastSpec().kind, ForecastSpec().order) == ("direct", 48)
+        # the forecaster section names only a replay file
+        assert harness.DIRECT_ORDER == 48
+        assert [f.name for f in fields(ForecastSpec)] == ["path"]
 
     def test_short_run_gets_two_fit_rows_per_unknown(self):
         # criterion 12's config: 40 snapshots alone need only 305 samples
@@ -657,42 +631,48 @@ class TestDirectForecaster:
         series = generate_attitude_series(cfg.seeds.attitude, length, cfg.horizon.dt_s)
         fit = fit_direct(series, int(TRAIN_FRAC * length), 48, cfg.horizon.h_pred)
         assert fit.rows >= 2 * (4 * 48 + 1) == 386
-        # no other mode or kind changes its series length
-        ar = {**raw, "forecaster": {"kind": "ar", "order": 24}}
-        base = required_series_length(ScenarioConfig.from_dict(ar))
+        # no other mode, nor a replay, changes its series length
+        replay = {**raw, "forecaster": {"path": "forecasts.csv"}}
+        base = required_series_length(ScenarioConfig.from_dict(replay))
         assert base == 305 < length
         for mode in ("none", "reactive", "ideal"):
-            for fc in (raw, ar):
+            for fc in (raw, replay):
                 cfg = ScenarioConfig.from_dict({**fc, "compensation": mode})
                 assert required_series_length(cfg) == base, mode
 
     def test_replay_of_the_training_fit_matches_internal(self, tmp_path):
         # the run fits on samples [0, t_train_end) and serves every
-        # calibration and evaluation origin from that one fit
-        raw = {**FAST, "forecaster": {"kind": "direct", "order": 12}}
+        # calibration and evaluation origin from that one fit.  Its forecasts
+        # replayed from disk give the same files, once saved with h_pred
+        # horizons and once with six more: only h_pred of them count.  A
+        # replay needs no fit rows, so the run is long enough that its test
+        # split alone sets the series length, and both runs draw one series
+        raw = {**FAST, "snapshots": 108}
         cfg = ScenarioConfig.from_dict(raw)
         internal = run_experiment(cfg)
         emit_results(internal, tmp_path / "internal")
         hz = cfg.horizon
         length = required_series_length(cfg)
+        replay = ScenarioConfig.from_dict({**raw, "forecaster": {"path": "forecasts.csv"}})
+        assert required_series_length(replay) == length
         series = generate_attitude_series(cfg.seeds.attitude, length, hz.dt_s)
         t_tr = int(TRAIN_FRAC * length)
         t_val = int((TRAIN_FRAC + VAL_FRAC) * length)
-        fit = fit_direct(series, t_tr, 12, hz.h_pred)
+        fit = fit_direct(series, t_tr, 48, hz.h_pred)
         origins = list(range(t_tr, t_val - hz.h_pred)) + [
             int(s) - hz.delay - 1 for s in internal.eval_slots
         ]
         outs = [fit(series, ForecastRequest(t, hz.l_win, hz.h_pred, hz.delay)) for t in origins]
-        assert {o.tag for o in outs} == {"direct12"}
-        path = tmp_path / "forecasts.csv"
-        save_forecast_csv(path, outs)
-        ext = run_experiment(
-            ScenarioConfig.from_dict({**raw, "forecaster": {"kind": "external", "path": str(path)}})
-        )
-        emit_results(ext, tmp_path / "external")
-        for name in ("snapshots.csv", "summary.json", "calibration.txt"):
-            got = (tmp_path / "external" / name).read_bytes()
-            assert got == (tmp_path / "internal" / name).read_bytes(), name
+        assert {o.tag for o in outs} == {"direct48"}
+        longer = [replace(o, angles=np.vstack([o.angles, np.ones((6, 3))])) for o in outs]
+        for extra, saved in ((0, outs), (6, longer)):
+            path = tmp_path / f"forecasts{extra}.csv"
+            save_forecast_csv(path, saved)
+            ext = run_experiment(replace(replay, forecaster=ForecastSpec(str(path))))
+            emit_results(ext, tmp_path / f"external{extra}")
+            for name in ("snapshots.csv", "summary.json", "calibration.txt"):
+                got = (tmp_path / f"external{extra}" / name).read_bytes()
+                assert got == (tmp_path / "internal" / name).read_bytes(), (extra, name)
 
     @pytest.mark.parametrize("mode", ["none", "reactive", "ideal"])
     def test_fixed_modes_never_fit(self, monkeypatch, mode):
@@ -700,7 +680,7 @@ class TestDirectForecaster:
             raise AssertionError("direct forecaster fitted")
 
         monkeypatch.setattr(harness, "fit_direct", refuse)
-        raw = {**FAST, "snapshots": 5, "compensation": mode, "forecaster": {}}
+        raw = {**FAST, "snapshots": 5, "compensation": mode}
         assert len(run_experiment(ScenarioConfig.from_dict(raw)).snapshots["snapshot"]) == 5
 
 
@@ -952,17 +932,16 @@ class TestCli:
     @pytest.mark.parametrize("mode, code", [
         ("none", 0), ("reactive", 0), ("ideal", 0), ("forecast", 2),
     ])
-    def test_ar_window_checked_only_in_forecast_mode(self, tmp_path, capsys, mode, code):
+    def test_window_rule_checked_only_in_forecast_mode(self, tmp_path, capsys, mode, code):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({
-            **FAST, "snapshots": 3, "compensation": mode,
-            "forecaster": {"kind": "ar", "order": 24}, "horizon": {"l_win": 48},
+            **FAST, "snapshots": 3, "compensation": mode, "horizon": {"l_win": 48},
         }))
         assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == code
-        assert ("too short for AR order 24" in capsys.readouterr().err) == bool(code)
+        assert ("too short for direct order 48" in capsys.readouterr().err) == bool(code)
 
     @pytest.mark.parametrize("raw, message", [
-        ({"forecaster": {"kind": "direct", "order": 49}}, "too short for direct order 49"),
+        ({"horizon": {"l_win": 191}}, "too short for direct order 48"),
         ({"horizon": {"l_win": 50}}, "too short for direct order 48"),
     ])
     def test_direct_window_rule_exit_2(self, tmp_path, capsys, raw, message):
@@ -1023,8 +1002,7 @@ class TestCli:
         # the third cell's forecast mode reads a missing replay file; the two
         # cells before it are on disk, each as `run` writes its config
         missing = tmp_path / "nope.csv"
-        base = {**FAST, "snapshots": 3,
-                "forecaster": {"kind": "external", "path": str(missing)}}
+        base = {**FAST, "snapshots": 3, "forecaster": {"path": str(missing)}}
         modes = ["ideal", "none", "forecast"]
         scen = tmp_path / "sweep.json"
         scen.write_text(json.dumps({"base": base, "axes": {"compensation": modes}}))
@@ -1166,7 +1144,7 @@ class TestCli:
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps({
             **FAST, "snapshots": 5, "compensation": "ideal",
-            "forecaster": {"kind": "external", "path": str(tmp_path / "nope.csv")},
+            "forecaster": {"path": str(tmp_path / "nope.csv")},
         }))
         assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 0
         header, *rows = (tmp_path / "o" / "snapshots.csv").read_text().splitlines()
@@ -1176,9 +1154,7 @@ class TestCli:
     def test_missing_external_forecast_file_exit_3(self, tmp_path, capsys):
         scen = tmp_path / "scen.json"
         missing = tmp_path / "nope.csv"
-        scen.write_text(json.dumps(
-            {**FAST, "forecaster": {"kind": "external", "path": str(missing)}}
-        ))
+        scen.write_text(json.dumps({**FAST, "forecaster": {"path": str(missing)}}))
         assert self.run_cli("run", "--config", str(scen), "--out", str(tmp_path / "o")) == 3
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(missing) in err
