@@ -21,9 +21,11 @@ error is certified.  The solve pipeline:
    breaking feasibility: each add-back scan pass solves the admitted set
    plus one candidate at a time, in ascending difficulty, and keeps the
    first feasible trial;
-4. at most MAX_SWEEPS refinement sweeps re-derive the scalars from the
-   current beamformer and accept an iterate only when it stays feasible and
-   does not lower the admitted sum-rate.
+4. refinement sweeps re-derive the scalars from the current beamformer and
+   accept an iterate only when it stays feasible and raises the admitted
+   sum-rate by more than the relative tolerance REFINE_TOL; the first sweep
+   that fails this ends refinement, and MAX_SWEEPS sweeps end it in any
+   case.
 
 The output is feasible by construction: transmit power within budget and
 every admitted rate at or above its floor, with no exceptions.
@@ -44,7 +46,8 @@ SHRINK = 1.0 - 4 * np.finfo(float).eps  # project_power's step when rounding end
 REG_REL = 1e-9  # relative ridge for the KKT solve and for a singular analog Gram
 W_CLAMP = (1.0, 1e6)  # MMSE weight clamp
 MAX_NEWTON = 40  # Newton steps per dual search
-MAX_SWEEPS = 10  # refinement sweeps per solve
+MAX_SWEEPS = 10  # refinement sweeps per solve, a safety cap
+REFINE_TOL = 1e-4  # relative sum-rate gain a refinement sweep must exceed
 POWER_BAND = 0.99  # the dual search aims at the middle of [band, 1] * P_max
 SCREEN_SLACK = 1e-9  # relative slack that keeps a user on the edge of strict_repair's screen
 
@@ -174,8 +177,10 @@ class BeamSolution:
 
 
 def _sinr_targets(problem: SnapshotProblem) -> np.ndarray:
-    """SINR target gamma_k = 2^(r_min/B) - 1 of each rate floor."""
-    return 2.0 ** (problem.r_min / problem.bandwidth) - 1.0
+    """SINR target gamma_k = 2^(r_min/B) - 1 of each rate floor; a floor
+    beyond float range gives gamma_k = inf, which the screen removes."""
+    with np.errstate(over="ignore"):
+        return 2.0 ** (problem.r_min / problem.bandwidth) - 1.0
 
 
 def required_power_proxy(problem: SnapshotProblem) -> np.ndarray:
@@ -457,11 +462,13 @@ def refine_qos_safe(
     Each sweep re-derives (u, w) from the current beamformer, puts them in
     place of those in the predictor's `scalars`, reconstructs through the
     power dual, projects, and accepts only when all admitted rate floors
-    still hold and the admitted sum-rate did not decrease; the first
-    rejected iterate ends the loop (the sweep map is deterministic), and
-    MAX_SWEEPS sweeps end it in any case.
+    still hold and the admitted sum-rate exceeds best * (1 + REFINE_TOL),
+    best the sum-rate of the current iterate.  The first sweep that fails
+    this ends the loop (the sweep map is deterministic, and a converged
+    sweep buys almost nothing), and MAX_SWEEPS sweeps end it in any case.
+    `refine_dual_evals` counts the power evaluations of every sweep.
     """
-    stats = {"refine_accepted": 0, "refine_tried": 0}
+    stats = {"refine_accepted": 0, "refine_tried": 0, "refine_dual_evals": 0}
     if not admitted.any():
         return D, stats
     _, rates = _rates(problem, D)
@@ -469,9 +476,10 @@ def refine_qos_safe(
     for _ in range(MAX_SWEEPS):
         stats["refine_tried"] += 1
         u, w = _mmse_scalars(problem, D)
-        D_new, rates_new, _ = _solve_projected(problem, admitted, replace(scalars, u=u, w=w))
+        D_new, rates_new, n_ev = _solve_projected(problem, admitted, replace(scalars, u=u, w=w))
+        stats["refine_dual_evals"] += n_ev
         val = float(np.sum(rates_new[admitted]))
-        if _feasible(problem, admitted, rates_new) and val >= best:
+        if _feasible(problem, admitted, rates_new) and val > best * (1.0 + REFINE_TOL):
             D, best = D_new, val
             stats["refine_accepted"] += 1
         else:

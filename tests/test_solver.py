@@ -1,3 +1,4 @@
+import functools
 import itertools
 import warnings
 from dataclasses import replace
@@ -808,6 +809,17 @@ class TestScreen:
         assert sol.stats["screened"] == 0 and sol.admitted.all()
         assert not sol.d_matrix[:, 1].any()
 
+    def test_unreachable_floor_is_screened_without_overflow(self):
+        # 2^(r_min / B) overflows to gamma = inf, which no power reaches
+        h = np.array([[1.0, 0.2], [0.1, 0.8]], dtype=complex)
+        prob = SnapshotProblem.build(h, r_min=[2000.0, 1.0], p_max=1.0, noise_power=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_snapshot(prob)
+        assert sol.stats["screened"] == 1
+        assert sol.admitted.tolist() == [False, True]
+        TestEdgeCases.assert_solution_ok(prob, sol)
+
 
 class TestExhaustiveOracle:
     """Small-K optimality: compare against brute force over every admitted
@@ -848,7 +860,84 @@ class TestExhaustiveOracle:
         assert match / total >= 0.95
 
 
+def _sweep_sequence(prob, admitted, D, scalars):
+    """MAX_SWEEPS iterates of the refinement sweep map from D, with no
+    accept rule: (D, admitted sum-rate, feasible, dual evaluations) each."""
+    seq = []
+    for _ in range(solver.MAX_SWEEPS):
+        u, w = solver._mmse_scalars(prob, D)
+        D, rates, n_ev = solver._solve_projected(prob, admitted, replace(scalars, u=u, w=w))
+        seq.append((D, float(np.sum(rates[admitted])),
+                    solver._feasible(prob, admitted, rates), n_ev))
+    return seq
+
+
+@functools.cache
+def _fuzz_refinements():
+    """Per fuzz problem: the repaired sum-rate, the unrefined sweep sequence
+    from the repaired beamformer, and what refine_qos_safe returns."""
+    out = []
+    for seed in range(200):
+        prob = test_acceptance._fuzz_snapshot(seed)
+        scalars = predict_admission_and_scalars(prob)
+        admitted, D, _ = strict_repair(prob, scalars)
+        if not admitted.any():
+            continue
+        _, rates = sinr_and_rates(prob.h_eff, D, prob.noise_power, prob.bandwidth)
+        best = float(np.sum(rates[admitted]))
+        seq = _sweep_sequence(prob, admitted, D, scalars)
+        out.append((best, seq, D, *refine_qos_safe(prob, admitted, D, scalars)))
+    return out
+
+
 class TestRefinement:
+    def test_accepted_sweeps_gain_more_than_the_tolerance(self):
+        total = 0
+        for best, seq, D0, D, stats in _fuzz_refinements():
+            accepted = stats["refine_accepted"]
+            for _, val, feasible, _ in seq[:accepted]:
+                assert feasible
+                assert val > best * (1.0 + solver.REFINE_TOL)
+                best = val
+            # the returned beamformer is the last accepted iterate
+            last = seq[accepted - 1][0] if accepted else D0
+            assert D.tobytes() == last.tobytes()
+            total += accepted
+        assert total > 100
+
+    def test_stops_at_the_first_sweep_that_fails_the_rule(self):
+        stopped = 0
+        for best, seq, _, _, stats in _fuzz_refinements():
+            accepted, tried = stats["refine_accepted"], stats["refine_tried"]
+            if accepted > 0:
+                best = seq[accepted - 1][1]
+            if accepted < solver.MAX_SWEEPS:
+                assert tried == accepted + 1
+                _, val, feasible, _ = seq[accepted]
+                assert not (feasible and val > best * (1.0 + solver.REFINE_TOL))
+                stopped += feasible  # a feasible sweep that gained too little
+            else:
+                assert tried == accepted
+            # every sweep tried spends its dual evaluations, repair's apart
+            assert stats["refine_dual_evals"] == sum(n_ev for *_, n_ev in seq[:tried])
+        assert stopped > 100
+
+    def test_sweeps_at_most_the_tie_accepting_rule(self):
+        # accepting any feasible sweep that does not lower the sum-rate
+        # tries a superset of the sweeps the stop rule tries
+        tried = tried_ties = 0
+        for best, seq, _, _, stats in _fuzz_refinements():
+            n = solver.MAX_SWEEPS
+            for i, (_, val, feasible, _) in enumerate(seq):
+                if not (feasible and val >= best):
+                    n = i + 1
+                    break
+                best = val
+            assert stats["refine_tried"] <= n
+            tried += stats["refine_tried"]
+            tried_ties += n
+        assert tried < tried_ties
+
     def test_waterfilling_two_orthogonal_users(self):
         h = np.array([[2.0, 0.0], [0.0, 1.0]], dtype=complex)
         prob = SnapshotProblem.build(h, r_min=0.1, p_max=2.0, noise_power=1.0)
@@ -917,6 +1006,8 @@ class TestRefinement:
             prob = random_problem(seed)
             sol = solve_snapshot(prob)
             assert sol.stats["refine_tried"] <= solver.MAX_SWEEPS
+            assert sol.stats["refine_dual_evals"] <= (
+                (solver.MAX_NEWTON + 1) * sol.stats["refine_tried"])
             # each dual solve spends one evaluation at nu = 0 and one per
             # Newton step; repair runs at most K drop solves plus K passes of
             # K add-back trials
